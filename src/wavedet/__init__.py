@@ -64,10 +64,8 @@ from .wavelet import (
     DetailCoefficients,
     ScaleLayout,
     WaveletFilterPair,
-    concat_scales,
     count_ops,
     db_filters,
-    dwt_details,
     parse_family,
     pyramid_batch,
 )
@@ -90,6 +88,6 @@ __all__ = [
     "make_noise", "make_observation",
     "SvmModel", "TrainingSet", "build_training_set", "calibrate_bias", "decision",
     "embed_weights", "kkt_violation", "train", "tune_c_for_pfa",
-    "DetailCoefficients", "ScaleLayout", "WaveletFilterPair", "concat_scales",
-    "count_ops", "db_filters", "dwt_details", "parse_family", "pyramid_batch",
+    "DetailCoefficients", "ScaleLayout", "WaveletFilterPair", "count_ops",
+    "db_filters", "parse_family", "pyramid_batch",
 ]

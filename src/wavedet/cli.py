@@ -34,7 +34,7 @@ from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
 from .signals import Hypothesis, NoiseModel, make_chirp, make_noise, make_observation
 from .svm import build_training_set, calibrate_bias, train
-from .wavelet import concat_scales, dwt_details, parse_family
+from .wavelet import parse_family
 
 __all__ = ["main"]
 
@@ -74,11 +74,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_dwt(args: argparse.Namespace) -> int:
     sig = io.read_signal(args.infile)
     filters = parse_family(args.family)
-    details = dwt_details(sig.samples, filters, args.levels)
+    if not 1 <= args.levels <= sig.length.bit_length() - 1:
+        raise ValueError(f"--levels {args.levels} out of range for length {sig.length}")
     scales = _parse_scales(args.scales) if args.scales else tuple(range(1, args.levels + 1))
     if any(s > args.levels for s in scales):
         raise ValueError("--scales may not exceed --levels")
-    d = concat_scales(details, scales)
+    d = FeaturePipe.for_scales(sig.length, filters, scales).details_of(sig)
     io.write_coeffs(args.out, d, filters.family_name, sig.length)
     per_scale = ", ".join(
         f"d{s}:{np.linalg.norm(d.segment(s)):.6g}" for s in scales

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
@@ -53,18 +53,11 @@ def qfunc(x: float) -> float:
     return 0.5 * float(erfc(float(x) / _SQRT2))
 
 
-def qfunc_inv(p: float, tol: float = 1e-10) -> float:
-    """Inverse of qfunc by bisection; |result - true quantile| <= tol."""
+def qfunc_inv(p: float) -> float:
+    """Inverse of qfunc: the x with Q(x) = p, i.e. -Phi^-1(p)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"tail probability must lie in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0  # Q(lo) = 1, Q(hi) = 0 to double precision
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if qfunc(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -float(ndtri(p))
 
 
 @dataclass(frozen=True)
@@ -201,20 +194,12 @@ def _require_same_layout(d: DetailCoefficients, layout: ScaleLayout) -> None:
         )
 
 
-def statistic(d: DetailCoefficients, det: LinearDetector, *, steady_only: bool = True) -> float:
-    """Inner product of a and d over the steady ranges (the default).
-
-    ``steady_only=False`` sums over the full vectors instead; that mode is
-    for sensitivity studies only and no analytic result in this package
-    applies to it.
-    """
+def statistic(d: DetailCoefficients, det: LinearDetector) -> float:
+    """Inner product of a and d over the steady ranges."""
     _require_same_layout(d, det.layout)
-    if steady_only:
-        mask = det.layout.steady_mask()
-        tally_madds(int(mask.sum()))
-        return float(det.a[mask] @ d.values[mask])
-    tally_madds(d.values.shape[0])
-    return float(det.a @ d.values)
+    mask = det.layout.steady_mask()
+    tally_madds(int(mask.sum()))
+    return float(det.a[mask] @ d.values[mask])
 
 
 def _steady_stat_fn(det: LinearDetector | MaxCoeffDetector) -> Callable[[np.ndarray], np.ndarray]:

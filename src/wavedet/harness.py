@@ -14,9 +14,10 @@ output directory is marked valid only if every check passes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -30,12 +31,12 @@ from .detector import (
     sweep_curve,
     threshold_for_pfa_mc,
 )
-from .io import read_curve_csv, write_curve_csv, write_detector
+from .io import _atomic_write, read_curve_csv, read_detector, write_curve_csv, write_detector
 from .optimum import optimum_a
-from .pipeline import FeaturePipe
+from .pipeline import FeaturePipe, layout_for_scales
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, make_chirp, make_observation
-from .svm import SvmModel, build_training_set, decision, tune_c_for_pfa
+from .svm import SvmModel, build_training_set, decision, embed_weights, tune_c_for_pfa
 from .wavelet import parse_family
 
 __all__ = [
@@ -320,18 +321,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             },
         )
 
+    checks.extend(_structural_checks(labels, cfg.scale_sets, theory, svm_curves))
     report = ExperimentReport(
         config=cfg, config_hash=chash, labels=labels, theory=theory, svm=svm_curves,
         baseline=base_curves, optimum_detectors=opt_dets, svm_detectors=svm_dets,
-        svm_models=svm_models, checks=(),
+        svm_models=svm_models, checks=tuple(checks),
     )
-    checks.extend(_structural_checks(report))
-    report = replace(report, checks=tuple(checks))
 
-    _write_gaps_csv(os.path.join(out_dir, "gaps.csv"), report)
+    _atomic_write(os.path.join(out_dir, "gaps.csv"),
+                  _gaps_csv(chash, cfg.seed, gap_table(report)))
     _write_checks(os.path.join(out_dir, "checks.txt"), report)
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="ascii") as fh:
-        fh.write(canonical_config_text(cfg))
+    _atomic_write(os.path.join(out_dir, "config.txt"),
+                  canonical_config_text(cfg).encode("ascii"))
     return report
 
 
@@ -340,10 +341,8 @@ def _check_decision_equivalence(
     cfg: ExperimentConfig, bi: int, label: str,
 ) -> CheckResult:
     """decision(model, d) must equal the detector statistic with a = w, plus b."""
-    a = np.zeros(pipe.layout.total_length)
-    a[pipe.layout.steady_mask()] = model.w
     probe = LinearDetector(
-        a=a, layout=pipe.layout, v_threshold=0.0, target_pfa=cfg.pfa,
+        a=embed_weights(model), layout=pipe.layout, v_threshold=0.0, target_pfa=cfg.pfa,
         calibration=Calibration("analytic"), detector_id=f"probe-{label}",
     )
     worst = 0.0
@@ -380,17 +379,23 @@ def _check_threshold_agreement(
     )
 
 
-def _structural_checks(report: ExperimentReport) -> list[CheckResult]:
+def _structural_checks(
+    labels: tuple[str, ...],
+    scale_sets: tuple[tuple[int, ...], ...],
+    theory: dict[str, DetectionCurve],
+    svm: dict[str, DetectionCurve],
+) -> list[CheckResult]:
+    """Multi-scale dominance of the theory curves and the theory ceiling on SVM Pd."""
     checks = []
-    sets = {label: set(b) for label, b in zip(report.labels, report.config.scale_sets)}
+    sets = {label: set(b) for label, b in zip(labels, scale_sets)}
     # theory dominance: a superset's curve must dominate its subsets' pointwise
     worst = 0.0
     pairs = 0
-    for la in report.labels:
-        for lb in report.labels:
+    for la in labels:
+        for lb in labels:
             if la != lb and sets[lb] < sets[la]:
                 pairs += 1
-                gap = report.theory[lb].pd_values() - report.theory[la].pd_values()
+                gap = theory[lb].pd_values() - theory[la].pd_values()
                 worst = max(worst, float(np.max(gap)))
     checks.append(CheckResult(
         name="theory-multiscale-dominance",
@@ -399,10 +404,10 @@ def _structural_checks(report: ExperimentReport) -> list[CheckResult]:
     ))
     # ceiling: Monte Carlo SVM Pd never above theory by more than 3 stderr
     worst_z = -math.inf
-    for label in report.labels:
-        th = report.theory[label].pd_values()
-        sv = report.svm[label].pd_values()
-        se = _ceiling_se(report.svm[label], th)
+    for label in labels:
+        th = theory[label].pd_values()
+        sv = svm[label].pd_values()
+        se = _ceiling_se(svm[label], th)
         worst_z = max(worst_z, float(np.max((sv - th) / se)))
     checks.append(CheckResult(
         name="svm-theory-ceiling",
@@ -426,13 +431,22 @@ def _ceiling_se(mc_curve: DetectionCurve, pd_theory: np.ndarray) -> np.ndarray:
 
 def gap_table(report: ExperimentReport) -> list[dict]:
     """Flat per-(scale set, SNR) comparison rows; errors on incomplete input."""
+    return _gap_rows(report.labels, report.theory, report.svm, report.baseline)
+
+
+def _gap_rows(
+    labels: tuple[str, ...],
+    theory: dict[str, DetectionCurve],
+    svm: dict[str, DetectionCurve],
+    baseline: dict[str, DetectionCurve],
+) -> list[dict]:
     rows = []
-    for label in report.labels:
-        if label not in report.svm:
+    for label in labels:
+        if label not in svm:
             raise ValueError(f"report is missing the SVM curve for {label}")
-        if label not in report.theory or label not in report.baseline:
+        if label not in theory or label not in baseline:
             raise ValueError(f"report is missing curves for {label}")
-        th, sv, ba = report.theory[label], report.svm[label], report.baseline[label]
+        th, sv, ba = theory[label], svm[label], baseline[label]
         ses = _ceiling_se(sv, th.pd_values())
         for (snr, pd_t, _), (_, pd_s, _), (_, pd_b, _), se_s in zip(
             th.points, sv.points, ba.points, ses
@@ -450,23 +464,20 @@ def gap_table(report: ExperimentReport) -> list[dict]:
     return rows
 
 
-def _write_gaps_csv(path: str, report: ExperimentReport) -> None:
+def _gaps_csv(chash: str, root_seed: int, rows: list[dict]) -> bytes:
+    """The bytes of gaps.csv for gap-table rows."""
     lines = [
-        f"# config_hash={report.config_hash}",
-        f"# root_seed={report.config.seed}",
+        f"# config_hash={chash}",
+        f"# root_seed={root_seed}",
         f"# rng={RNG_ID}",
         "scale_set,snr_db,pd_theory,pd_svm,pd_baseline,gap",
     ]
-    for r in gap_table(report):
+    for r in rows:
         lines.append(
             f"{r['scale_set']},{r['snr_db']!r},{r['pd_theory']!r},"
             f"{r['pd_svm']!r},{r['pd_baseline']!r},{r['gap']!r}"
         )
-    data = ("\n".join(lines) + "\n").encode("ascii")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _write_checks(path: str, report: ExperimentReport) -> None:
@@ -474,14 +485,18 @@ def _write_checks(path: str, report: ExperimentReport) -> None:
     for c in report.checks:
         lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
     lines.append("VALID" if report.valid else "INVALID")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
-    """Re-verify a finished output directory from its stored artifacts."""
+    """Re-verify a finished output directory from its stored artifacts.
+
+    Every curve must carry the config's hash and root seed and pass the
+    dominance and ceiling checks that run_experiment applies; gaps.csv must
+    equal, byte for byte, the table re-derived from those curves; every
+    detector file must match the config's family, signal length, Pfa and
+    scale layout; and checks.txt must end in VALID.
+    """
     messages = []
     ok = True
 
@@ -498,9 +513,9 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
         return False, [f"FAIL cannot load config: {e}"]
     chash = config_hash(cfg)
     labels = tuple(_set_label(b) for b in cfg.scale_sets)
-    curves: dict[tuple[str, str], DetectionCurve] = {}
+    curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
     for label in labels:
-        for kind in ("theory", "svm", "baseline"):
+        for kind, by_label in curves.items():
             path = os.path.join(out_dir, f"{kind}_{label}.csv")
             try:
                 curve, prov = read_curve_csv(path)
@@ -511,21 +526,47 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                 fail(f"{path}: config_hash {prov.get('config_hash')} != {chash}")
             if prov.get("root_seed") != str(cfg.seed):
                 fail(f"{path}: root_seed mismatch")
-            curves[(kind, label)] = curve
+            by_label[label] = curve
     if ok:
-        sets = {label: set(b) for label, b in zip(labels, cfg.scale_sets)}
-        for la in labels:
-            for lb in labels:
-                if la != lb and sets[lb] < sets[la]:
-                    gap = curves[("theory", lb)].pd_values() - curves[("theory", la)].pd_values()
-                    if float(np.max(gap)) > 1e-12:
-                        fail(f"theory dominance violated: {lb} exceeds {la}")
-        for label in labels:
-            th = curves[("theory", label)].pd_values()
-            sv = curves[("svm", label)].pd_values()
-            se = _ceiling_se(curves[("svm", label)], th)
-            if float(np.max((sv - th) / se)) > 3.0:
-                fail(f"svm ceiling violated for {label}")
+        for c in _structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]):
+            if not c.passed:
+                fail(f"{c.name}: {c.detail}")
+    gaps_path = os.path.join(out_dir, "gaps.csv")
+    try:
+        with open(gaps_path, "rb") as fh:
+            stored = fh.read()
+    except OSError as e:
+        fail(f"cannot load {gaps_path}: {e}")
+    else:
+        # only curves that loaded and passed the ceiling check yield a gap table
+        if ok:
+            rows = _gap_rows(labels, curves["theory"], curves["svm"], curves["baseline"])
+            expected = _gaps_csv(chash, cfg.seed, rows)
+            for k, (want, got) in enumerate(
+                itertools.zip_longest(expected.split(b"\n"), stored.split(b"\n")), start=1
+            ):
+                if want != got:
+                    fail(f"{gaps_path} line {k} does not match the stored curves: "
+                         f"expected {want!r}, found {got!r}")
+                    break
+    filters = parse_family(cfg.family)
+    for label, b in zip(labels, cfg.scale_sets):
+        layout = layout_for_scales(cfg.length, filters, b)
+        for kind in ("optimum", "svm"):
+            path = os.path.join(out_dir, f"{kind}_{label}.det")
+            try:
+                det, family, signal_length, _ = read_detector(path)
+            except (OSError, ValueError, KeyError) as e:
+                fail(f"cannot load {path}: {e}")
+                continue
+            if family != cfg.family:
+                fail(f"{path}: family {family} != {cfg.family}")
+            if signal_length != cfg.length:
+                fail(f"{path}: signal length {signal_length} != {cfg.length}")
+            if det.target_pfa != cfg.pfa:
+                fail(f"{path}: pfa {det.target_pfa!r} != {cfg.pfa!r}")
+            if det.layout != layout:
+                fail(f"{path}: layout does not match scales {b}")
     checks_path = os.path.join(out_dir, "checks.txt")
     try:
         with open(checks_path, "r", encoding="ascii") as fh:

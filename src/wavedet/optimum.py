@@ -23,15 +23,9 @@ def optimum_a(
     pulse_details: DetailCoefficients,
     target_pfa: float,
     model: NoiseModel,
-    snr_db: float = 0.0,
     detector_id: str | None = None,
 ) -> LinearDetector:
-    """Deflection-maximising unit-norm coefficients with analytic threshold.
-
-    ``snr_db`` is accepted because the performance figure depends on it,
-    but the maximising direction does not; the argument has no effect on
-    the returned coefficients (tested as an invariant).
-    """
+    """Deflection-maximising unit-norm coefficients with analytic threshold."""
     if not 0.0 < target_pfa < 1.0:
         raise ValueError(f"target_pfa must lie in (0, 1), got {target_pfa}")
     layout = pulse_details.layout
@@ -57,9 +51,6 @@ def optimum_a(
 
 def numerical_optimum_a(
     pulse_details: DetailCoefficients,
-    target_pfa: float,
-    model: NoiseModel,
-    snr_db: float = 0.0,
     tol: float = 1e-9,
     max_iters: int = 500,
     seed: int = 0,
@@ -72,7 +63,6 @@ def numerical_optimum_a(
     stationary point (negative deflection, zero gradient) is retried from
     the next substream.  Returns a full-layout unit vector like optimum_a.
     """
-    del target_pfa, snr_db, model  # none move the argmax; kept for call symmetry
     layout = pulse_details.layout
     mask = layout.steady_mask()
     s = pulse_details.values[mask]

@@ -17,20 +17,19 @@ import numpy as np
 
 from .rng import chunk_bounds, normal, substream
 from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
-from .wavelet import (
-    DetailCoefficients,
-    ScaleLayout,
-    WaveletFilterPair,
-    concat_scales,
-    dwt_details,
-    pyramid_batch,
-)
+from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid_batch
 
 
 def layout_for_scales(
     length: int, filters: WaveletFilterPair, scales: Sequence[int]
 ) -> ScaleLayout:
-    """Layout of the concatenated detail vector for ``scales`` of a 2^N signal."""
+    """Layout of the concatenated detail vector for ``scales`` of a 2^N signal.
+
+    Scale i has 2^(N-i) coefficients.  Its steady_start is the filter length
+    L, clamped to the segment length when the scale is too deep to have any
+    steady coefficients (such a scale cannot back a detector, but its values
+    still satisfy Parseval).
+    """
     n = int(length)
     if n < 2 or n & (n - 1):
         raise ValueError(f"signal length must be a power of two >= 2, got {length}")
@@ -88,10 +87,7 @@ class FeaturePipe:
     def details_of(self, x: SampledSignal | np.ndarray) -> DetailCoefficients:
         """Detail vector of one signal arranged in this pipe's layout."""
         samples = x.samples if isinstance(x, SampledSignal) else np.asarray(x)
-        if samples.shape[0] != self.length:
-            raise ValueError(f"signal length {samples.shape[0]} != pipe length {self.length}")
-        dets = dwt_details(samples, self.filters, max(self.layout.scales))
-        return concat_scales(dets, self.layout.scales)
+        return DetailCoefficients(self.transform_batch(samples[None, :])[0], self.layout)
 
     def template_steady(self, pulse: SampledSignal) -> np.ndarray:
         if pulse.hypothesis is not Hypothesis.TEMPLATE:

@@ -248,7 +248,7 @@ def train(
             alphas[j] -= y[j] * t
             _snap_to_box(alphas, box, i)
             _snap_to_box(alphas, box, j)
-            f += t * (K[:, i] - K[:, j])
+            f += t * (K[i] - K[j])  # rows, not strided columns: K is symmetric
         # exact refresh closes any incremental drift
         f = K @ (alphas * y)
         objective = float(np.sum(alphas) - 0.5 * (alphas * y) @ f)

@@ -8,9 +8,10 @@ Periodic extension keeps the filter bank exactly orthogonal at every even
 input length, so Parseval holds to rounding error and white noise maps to
 white coefficients.
 
-Detail vectors carry a per-scale ``steady_start`` index equal to the filter
-length; detectors restrict their sums to indices at or beyond it so that
-boundary-affected coefficients never enter a detection statistic.
+Detail vectors carry a per-scale ``steady_start`` index, set by
+``pipeline.layout_for_scales``; detectors restrict their sums to indices at
+or beyond it so that boundary-affected coefficients never enter a detection
+statistic.
 """
 
 from __future__ import annotations
@@ -18,20 +19,16 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .signals import SampledSignal
 
 __all__ = [
     "WaveletFilterPair",
     "ScaleLayout",
     "DetailCoefficients",
     "db_filters",
-    "dwt_details",
-    "concat_scales",
     "pyramid_batch",
     "count_ops",
 ]
@@ -313,51 +310,3 @@ def pyramid_batch(
         details.append(_filter_down(approx, filters.g))
         approx = _filter_down(approx, filters.h)
     return approx, details
-
-
-def dwt_details(
-    x: SampledSignal | np.ndarray, filters: WaveletFilterPair, max_level: int
-) -> list[DetailCoefficients]:
-    """Detail vectors d_1 .. d_max_level of a single signal.
-
-    Level i has length 2^(N-i) for input length 2^N.  Each level's
-    steady_start is the filter length L, clamped to the segment length when
-    the level is too deep to have any steady coefficients (such levels
-    cannot back a detector, but their values still satisfy Parseval).
-    """
-    samples = x.samples if isinstance(x, SampledSignal) else np.asarray(x, dtype=np.float64)
-    _, dets = pyramid_batch(samples[None, :], filters, max_level)
-    L = filters.length
-    out = []
-    for i, d in enumerate(dets, start=1):
-        m = d.shape[1]
-        layout = ScaleLayout(scales=(i,), seg_lengths=(m,), steady_starts=(min(L, m),))
-        out.append(DetailCoefficients(values=d[0], layout=layout))
-    return out
-
-
-def concat_scales(
-    details: Sequence[DetailCoefficients], B: Sequence[int]
-) -> DetailCoefficients:
-    """Concatenate the requested scales, in B's order, into one vector."""
-    if not B:
-        raise ValueError("scale set B must be non-empty")
-    by_scale: dict[int, tuple[DetailCoefficients, int]] = {}
-    for d in details:
-        for k, s in enumerate(d.layout.scales):
-            by_scale[s] = (d, k)
-    missing = [s for s in B if s not in by_scale]
-    if missing:
-        raise ValueError(f"requested scales missing from input: {missing}")
-    values, scales, lengths, starts = [], [], [], []
-    for s in B:
-        d, k = by_scale[int(s)]
-        off = d.layout.offsets[k]
-        m = d.layout.seg_lengths[k]
-        values.append(d.values[off : off + m])
-        scales.append(int(s))
-        lengths.append(m)
-        starts.append(d.layout.steady_starts[k])
-    layout = ScaleLayout(scales=tuple(scales), seg_lengths=tuple(lengths),
-                         steady_starts=tuple(starts))
-    return DetailCoefficients(values=np.concatenate(values), layout=layout)

@@ -272,7 +272,7 @@ def test_c4_matched_filter_ceiling(pipes, pulse, noise, optimum):
         worst_excess = max(worst_excess, float(np.max(pd_a - pd_opt)))
     ok_ceiling = worst_excess <= 1e-12
 
-    a_num = numerical_optimum_a(d, PFA, noise, tol=1e-12, seed=derive_seed(ROOT, 41))
+    a_num = numerical_optimum_a(d, tol=1e-12, seed=derive_seed(ROOT, 41))
     cosine = float(np.dot(a_num, det.a))
     ok_cosine = cosine >= 1.0 - 1e-6
     passed = ok_ceiling and ok_cosine

@@ -43,6 +43,9 @@ def test_dwt_writes_selected_scales(tmp_path, pulse_file):
 def test_dwt_rejects_scale_beyond_levels(tmp_path, pulse_file):
     assert main(["dwt", "--in", str(pulse_file), "--levels", "3",
                  "--scales", "4", "--out", str(tmp_path / "c.coef")]) == 2
+    # a 256-sample signal has 8 levels; more are rejected even if unused
+    assert main(["dwt", "--in", str(pulse_file), "--levels", "99",
+                 "--scales", "1", "--out", str(tmp_path / "c.coef")]) == 2
 
 
 def test_optimum_then_curve(tmp_path, pulse_file):

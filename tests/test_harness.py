@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -145,8 +146,6 @@ def test_gap_table_requires_complete_report(mini_run):
 
 
 def test_check_rejects_tampered_outputs(mini_run, tmp_path):
-    import shutil
-
     _, out = mini_run
     bad = tmp_path / "tampered"
     shutil.copytree(out, bad)
@@ -158,14 +157,40 @@ def test_check_rejects_tampered_outputs(mini_run, tmp_path):
 
 
 def test_check_rejects_missing_curve(mini_run, tmp_path):
-    import shutil
-
     _, out = mini_run
     bad = tmp_path / "missing"
     shutil.copytree(out, bad)
     os.remove(bad / "svm_d4.csv")
     ok, _ = experiment_check(str(bad))
     assert not ok
+
+
+def _zero_last_baseline_pd(out):
+    path = out / "baseline_d3.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    assert float(cells[1]) > 0.0
+    cells[1] = "0.0"
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda out: os.remove(out / "gaps.csv"), "gaps.csv"),
+    (lambda out: os.remove(out / "svm_d3.det"), "svm_d3.det"),
+    # the curve file itself stays well-formed; only gaps.csv disagrees with it
+    (_zero_last_baseline_pd, "gaps.csv"),
+    (lambda out: shutil.copy(out / "optimum_d4.det", out / "optimum_d3.det"),
+     "optimum_d3.det: layout"),
+], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped"])
+def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
+    _, out = mini_run
+    bad = tmp_path / "damaged"
+    shutil.copytree(out, bad)
+    damage(bad)
+    ok, messages = experiment_check(str(bad))
+    assert not ok
+    assert any(m.startswith("FAIL") and named in m for m in messages), messages
 
 
 def test_theory_curves_dominate_subsets(mini_run):

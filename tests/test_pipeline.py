@@ -3,7 +3,6 @@ import pytest
 
 from wavedet import FeaturePipe, NoiseModel, layout_for_scales, make_chirp
 from wavedet.rng import CHUNK
-from wavedet.wavelet import concat_scales, dwt_details
 
 
 def test_layout_for_scales(db5):
@@ -18,12 +17,13 @@ def test_layout_for_scales(db5):
         layout_for_scales(250, db5, (3,))
 
 
-def test_transform_matches_direct_dwt(pipe34, db5, rng):
+def test_details_of_matches_transform_batch(pipe34, rng):
     x = rng.standard_normal((5, 256))
     F = pipe34.transform_batch(x)
     for i in range(5):
-        direct = concat_scales(dwt_details(x[i], db5, 4), (3, 4))
-        np.testing.assert_array_equal(F[i], direct.values)
+        d = pipe34.details_of(x[i])
+        np.testing.assert_array_equal(d.values, F[i])
+        assert d.layout == pipe34.layout
 
 
 def test_steady_batch_selects_mask(pipe34, rng):

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from wavedet import (
     DetailCoefficients,
+    FeaturePipe,
     ScaleLayout,
-    concat_scales,
     count_ops,
     db_filters,
-    dwt_details,
+    layout_for_scales,
     parse_family,
     pyramid_batch,
 )
@@ -154,36 +154,38 @@ def test_perfect_reconstruction_via_adjoint(rng):
 # -- layouts and detail containers ----------------------------------------
 
 
-def test_dwt_details_shapes_and_steady(db5):
+def test_layout_shapes_and_steady_starts(db5):
     x = np.zeros(256)
     x[0] = 1.0
-    details = dwt_details(x, db5, 4)
-    assert [d.layout.scales[0] for d in details] == [1, 2, 3, 4]
-    assert [d.values.size for d in details] == [128, 64, 32, 16]
-    for d in details:
-        (start,) = d.layout.steady_starts
-        assert start == min(db5.length, d.values.size)
+    layout = layout_for_scales(256, db5, (1, 2, 3, 4))
+    d = FeaturePipe(256, db5, layout).details_of(x)
+    assert d.layout == layout
+    assert [d.segment(s).size for s in (1, 2, 3, 4)] == [128, 64, 32, 16]
+    assert layout.steady_starts == tuple(min(db5.length, m) for m in layout.seg_lengths)
 
 
 def test_steady_start_clamped_at_deep_levels(db5):
     # level 6 of a 256-sample signal has 4 coefficients, fewer than the
     # filter length, so nothing is boundary-free there
-    d6 = dwt_details(np.ones(256) * 0.0625, db5, 6)[5]
+    d6 = FeaturePipe.for_scales(256, db5, (6,)).details_of(np.ones(256) * 0.0625)
     assert d6.values.size == 4
     assert d6.layout.steady_starts == (4,)
     assert d6.steady_values().size == 0
 
 
-def test_concat_scales_layout(db5, rng):
+def test_scale_subset_segments_match_pyramid(db5, rng):
     x = rng.standard_normal(128)
-    details = dwt_details(x, db5, 4)
-    d = concat_scales(details, (2, 4))
-    assert d.layout.scales == (2, 4)
-    assert d.layout.seg_lengths == (32, 8)
-    np.testing.assert_array_equal(d.segment(2), details[1].values)
-    np.testing.assert_array_equal(d.segment(4), details[3].values)
+    _, levels = pyramid_batch(x[None, :], db5, 4)
+    d = FeaturePipe.for_scales(128, db5, (4, 2)).details_of(x)
+    assert d.layout.scales == (4, 2)
+    assert d.layout.seg_lengths == (8, 32)
+    np.testing.assert_array_equal(d.values, np.concatenate([levels[3][0], levels[1][0]]))
+    np.testing.assert_array_equal(d.segment(2), levels[1][0])
+    np.testing.assert_array_equal(d.segment(4), levels[3][0])
     with pytest.raises(ValueError):
-        concat_scales(details, (5,))
+        d.segment(3)
+    with pytest.raises(ValueError):
+        layout_for_scales(128, db5, (8,))
 
 
 def test_scale_layout_validation():
