@@ -28,6 +28,7 @@ from .harness import (
     experiment_check,
     parse_config_text,
     run_experiment,
+    snr_grid,
 )
 from .optimum import optimum_a
 from .pipeline import FeaturePipe
@@ -123,22 +124,13 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     model = NoiseModel(sigma_n=args.sigma)
     filters = parse_family(family)
     pipe = FeaturePipe(signal_length, filters, det.layout)
-    grid = _snr_grid(args.snr_min, args.snr_max, args.snr_step)
+    grid = snr_grid(args.snr_min, args.snr_max, args.snr_step)
     curve = sweep_curve(det, pulse, grid, model, args.trials, args.seed, pipe)
     io.write_curve_csv(args.out, curve, {
         "family": family, "signal_length": str(signal_length), "sigma_n": repr(args.sigma),
     })
     print(f"wrote {len(grid)}-point curve for {det.detector_id} to {args.out}")
     return 0
-
-
-def _snr_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    if not lo < hi:
-        raise ValueError("--snr-min must be below --snr-max")
-    if step <= 0:
-        raise ValueError("--snr-step must be positive")
-    k = int((hi - lo) / step + 1e-9)
-    return tuple(lo + i * step for i in range(k + 1))
 
 
 def _cmd_optimum(args: argparse.Namespace) -> int:

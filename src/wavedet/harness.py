@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from .detector import (
-    Calibration,
     DetectionCurve,
     LinearDetector,
+    _check_mc_quantile_args,
     analytic_stats,
     calibrate_max_coeff,
     statistic,
@@ -36,7 +36,7 @@ from .optimum import optimum_a
 from .pipeline import FeaturePipe, layout_for_scales
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, make_chirp, make_observation
-from .svm import SvmModel, build_training_set, decision, embed_weights, tune_c_for_pfa
+from .svm import SvmModel, build_training_set, decision, tune_c_for_pfa
 from .wavelet import parse_family
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "parse_config_text",
     "canonical_config_text",
     "config_hash",
+    "snr_grid",
 ]
 
 _DEFAULT_C_GRID = tuple(
@@ -97,21 +98,15 @@ class ExperimentConfig:
             for s in b:
                 if not 1 <= s <= N:
                     raise ValueError(f"scale {s} out of range for length {n}")
-                if 2 ** (N - s) < filters.length:
+                if 2 ** (N - s) <= filters.length:
                     raise ValueError(
                         f"scale {s} leaves no steady coefficients: "
-                        f"2^({N}-{s}) < filter length {filters.length}"
+                        f"2^({N}-{s}) <= filter length {filters.length}"
                     )
         object.__setattr__(self, "scale_sets", sets)
         object.__setattr__(self, "c_grid", tuple((float(a), float(m)) for a, m in self.c_grid))
-        if not 0.0 < self.pfa < 1.0:
-            raise ValueError(f"pfa must lie in (0, 1), got {self.pfa}")
-        if self.pfa * self.cal_trials < 100:
-            raise ValueError("pfa * cal_trials must be at least 100")
-        if not self.snr_min < self.snr_max:
-            raise ValueError("snr_min must be below snr_max")
-        if self.snr_step <= 0:
-            raise ValueError("snr_step must be positive")
+        _check_mc_quantile_args(self.pfa, self.cal_trials)
+        snr_grid(self.snr_min, self.snr_max, self.snr_step)
         if self.trials_per_point < 100:
             raise ValueError("trials_per_point must be at least 100")
         if self.n_pos < 1 or self.n_neg < 1:
@@ -120,8 +115,17 @@ class ExperimentConfig:
             raise ValueError("c_grid must be non-empty")
 
     def snr_grid(self) -> tuple[float, ...]:
-        k = int(math.floor((self.snr_max - self.snr_min) / self.snr_step + 1e-9))
-        return tuple(self.snr_min + i * self.snr_step for i in range(k + 1))
+        return snr_grid(self.snr_min, self.snr_max, self.snr_step)
+
+
+def snr_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """lo, lo + step, ... up to hi inclusive (within 1e-9 of a step)."""
+    if not lo < hi:
+        raise ValueError(f"snr_min {lo} must be below snr_max {hi}")
+    if step <= 0:
+        raise ValueError(f"snr_step must be positive, got {step}")
+    k = int(math.floor((hi - lo) / step + 1e-9))
+    return tuple(lo + i * step for i in range(k + 1))
 
 
 def _set_label(b: tuple[int, ...]) -> str:
@@ -130,11 +134,27 @@ def _set_label(b: tuple[int, ...]) -> str:
 
 # -- config text format -------------------------------------------------------
 
-_CONFIG_ORDER = (
-    "length", "f_start", "f_end", "family", "scale_sets", "pfa", "snr_min",
-    "snr_max", "snr_step", "trials_per_point", "cal_trials", "n_pos", "n_neg",
-    "c_grid", "kkt_tolerance", "max_passes", "sigma_n", "seed",
-)
+def _parse_scale_sets(val: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(int(s) for s in group.split(","))
+        for group in val.split(";") if group.strip()
+    )
+
+
+def _parse_c_grid(val: str) -> tuple[tuple[float, float], ...]:
+    pairs = []
+    for group in val.split(";"):
+        group = group.strip()
+        if group:
+            cp, _, cm = group.partition(":")
+            pairs.append((float(cp), float(cm)))
+    return tuple(pairs)
+
+
+# config key -> value parser, in ExperimentConfig field order; a scalar field
+# is parsed as the type of its default
+_CONFIG_PARSERS = {f.name: type(f.default) for f in dc_fields(ExperimentConfig)}
+_CONFIG_PARSERS.update(scale_sets=_parse_scale_sets, c_grid=_parse_c_grid)
 
 
 def canonical_config_text(cfg: ExperimentConfig) -> str:
@@ -144,18 +164,18 @@ def canonical_config_text(cfg: ExperimentConfig) -> str:
         "c_grid": "; ".join(f"{cp!r}:{cm!r}" for cp, cm in cfg.c_grid),
     }
     lines = []
-    for key in _CONFIG_ORDER:
+    for key in _CONFIG_PARSERS:
         if key in vals:
             lines.append(f"{key} = {vals[key]}")
             continue
         v = getattr(cfg, key)
-        lines.append(f"{key} = {v!r}" if isinstance(v, float) else f"{key} = {v}")
+        # by the field's type, so an int given for a float reads back unchanged
+        lines.append(f"{key} = {float(v)!r}" if _CONFIG_PARSERS[key] is float else f"{key} = {v}")
     return "\n".join(lines) + "\n"
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key = value format, falling back to defaults."""
-    known = {f.name: f.type for f in dc_fields(ExperimentConfig)}
     kwargs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -164,32 +184,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, sep, val = (p.strip() for p in line.partition("="))
         if not sep:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in known:
+        if key not in _CONFIG_PARSERS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kwargs[key] = _parse_config_value(key, val)
+        kwargs[key] = _CONFIG_PARSERS[key](val)
     return ExperimentConfig(**kwargs)
-
-
-def _parse_config_value(key: str, val: str):
-    if key == "scale_sets":
-        return tuple(
-            tuple(int(s) for s in group.split(","))
-            for group in val.split(";") if group.strip()
-        )
-    if key == "c_grid":
-        pairs = []
-        for group in val.split(";"):
-            group = group.strip()
-            if group:
-                cp, _, cm = group.partition(":")
-                pairs.append((float(cp), float(cm)))
-        return tuple(pairs)
-    if key == "family":
-        return val
-    if key in ("length", "trials_per_point", "cal_trials", "n_pos", "n_neg",
-               "max_passes", "seed"):
-        return int(val)
-    return float(val)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -290,7 +288,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             derive_seed(cfg.seed, _P_BASECURVE, bi), pipe,
         )
 
-        checks.append(_check_decision_equivalence(model, pulse, pipe, noise, cfg, bi, label))
+        checks.append(
+            _check_decision_equivalence(model, det_svm, pulse, pipe, noise, cfg, bi, label)
+        )
         checks.append(_check_threshold_agreement(det_opt, pipe, noise, cfg, bi, label))
 
         prov = {
@@ -337,19 +337,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
 
 
 def _check_decision_equivalence(
-    model: SvmModel, pulse, pipe: FeaturePipe, noise: NoiseModel,
+    model: SvmModel, det_svm: LinearDetector, pulse, pipe: FeaturePipe, noise: NoiseModel,
     cfg: ExperimentConfig, bi: int, label: str,
 ) -> CheckResult:
-    """decision(model, d) must equal the detector statistic with a = w, plus b."""
-    probe = LinearDetector(
-        a=embed_weights(model), layout=pipe.layout, v_threshold=0.0, target_pfa=cfg.pfa,
-        calibration=Calibration("analytic"), detector_id=f"probe-{label}",
-    )
+    """decision(model, d) must equal the deployed detector's statistic plus b."""
     worst = 0.0
     for k in range(3):
         obs = make_observation(pulse, -5.0, noise, derive_seed(cfg.seed, _P_CHECKOBS, bi, k))
         d = pipe.details_of(obs)
-        worst = max(worst, abs(decision(model, d) - (statistic(d, probe) + model.b)))
+        worst = max(worst, abs(decision(model, d) - (statistic(d, det_svm) + model.b)))
     passed = worst <= 1e-12
     return CheckResult(
         name=f"decision-statistic-equivalence[{label}]",
@@ -430,7 +426,10 @@ def _ceiling_se(mc_curve: DetectionCurve, pd_theory: np.ndarray) -> np.ndarray:
 
 
 def gap_table(report: ExperimentReport) -> list[dict]:
-    """Flat per-(scale set, SNR) comparison rows; errors on incomplete input."""
+    """Flat per-(scale set, SNR) comparison rows; errors on incomplete input.
+
+    The rows do not judge the gaps: the svm-theory-ceiling check does.
+    """
     return _gap_rows(report.labels, report.theory, report.svm, report.baseline)
 
 
@@ -446,20 +445,12 @@ def _gap_rows(
             raise ValueError(f"report is missing the SVM curve for {label}")
         if label not in theory or label not in baseline:
             raise ValueError(f"report is missing curves for {label}")
-        th, sv, ba = theory[label], svm[label], baseline[label]
-        ses = _ceiling_se(sv, th.pd_values())
-        for (snr, pd_t, _), (_, pd_s, _), (_, pd_b, _), se_s in zip(
-            th.points, sv.points, ba.points, ses
+        for (snr, pd_t, _), (_, pd_s, _), (_, pd_b, _) in zip(
+            theory[label].points, svm[label].points, baseline[label].points
         ):
-            gap = pd_t - pd_s
-            if gap < -3.0 * se_s:
-                raise ValueError(
-                    f"{label} at {snr} dB: gap {gap:.4g} below -3 stderr; "
-                    "the ceiling property is violated"
-                )
             rows.append({
                 "scale_set": label, "snr_db": snr, "pd_theory": pd_t,
-                "pd_svm": pd_s, "pd_baseline": pd_b, "gap": gap,
+                "pd_svm": pd_s, "pd_baseline": pd_b, "gap": pd_t - pd_s,
             })
     return rows
 
@@ -538,7 +529,7 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     except OSError as e:
         fail(f"cannot load {gaps_path}: {e}")
     else:
-        # only curves that loaded and passed the ceiling check yield a gap table
+        # only a full set of loaded curves yields a gap table
         if ok:
             rows = _gap_rows(labels, curves["theory"], curves["svm"], curves["baseline"])
             expected = _gaps_csv(chash, cfg.seed, rows)

@@ -12,7 +12,7 @@ artifacts.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from typing import Mapping
 
 import numpy as np
@@ -34,10 +34,13 @@ _HYP_OF_KIND = {v: k for k, v in _KIND_OF_HYP.items()}
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    # "xb" on a fresh name creates the file exclusively with the umask-derived
+    # mode of a plain open(); tempfile.mkstemp would force 0600
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wavedet-")
+    tmp = os.path.join(directory, f".wavedet-{secrets.token_hex(8)}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

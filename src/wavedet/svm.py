@@ -51,6 +51,11 @@ _PATH_SNR, _PATH_POS, _PATH_NEG = 0, 1, 2
 
 _BOUND_SNAP = 1e-12  # relative snap of alphas onto their box bounds
 
+# tune_c_for_pfa: admissible realized Pfa lies within this factor of the
+# target, and validation Pd is estimated from this many trials per SNR
+_PFA_SLACK = 2.0
+_VAL_TRIALS = 500
+
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -210,7 +215,6 @@ def train(
     K = X @ X.T
     alphas = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_k alpha_k y_k K_ik, maintained incrementally
-    objective = 0.0
     history: list[float] = []
     converged = False
     n_passes = 0
@@ -243,7 +247,6 @@ def train(
                 t = min((m - m_low) / eta, t_hi)
             else:
                 t = t_hi  # identical patterns: objective is linear in t
-            objective += t * (m - m_low) - 0.5 * t * t * eta
             alphas[i] += y[i] * t
             alphas[j] -= y[j] * t
             _snap_to_box(alphas, box, i)
@@ -344,13 +347,11 @@ def tune_c_for_pfa(
     pulse: SampledSignal,
     kkt_tolerance: float = 1e-3,
     max_passes: int = 10_000,
-    val_trials_per_point: int = 500,
-    pfa_slack: float = 2.0,
 ) -> tuple[SvmModel, LinearDetector]:
     """Train per grid point, calibrate each, keep the best admissible model.
 
     Admissible means the realized false-alarm rate on an independent noise
-    set lies within a factor ``pfa_slack`` of the target; among admissible
+    set lies within a factor of 2 of the target; among admissible
     models the one with the highest mean validation Pd over the training
     SNR grid wins (first grid point on ties).  Fully deterministic given
     (ts, seed).
@@ -378,12 +379,12 @@ def tune_c_for_pfa(
         pfa_hat, _ = realized_pfa_mc(
             [det], noise, validation_noise_trials, derive_seed(seed, gi, 1), pipe
         )[0]
-        if not target_pfa / pfa_slack <= pfa_hat <= target_pfa * pfa_slack:
+        if not target_pfa / _PFA_SLACK <= pfa_hat <= target_pfa * _PFA_SLACK:
             continue
         pd_sum = 0.0
         for pj, snr in enumerate(val_grid):
             pd, _ = estimate_pd(
-                det, pulse, float(snr), noise, val_trials_per_point,
+                det, pulse, float(snr), noise, _VAL_TRIALS,
                 derive_seed(seed, gi, 2, pj), pipe,
             )
             pd_sum += pd
@@ -393,6 +394,6 @@ def tune_c_for_pfa(
     if best is None:
         raise RuntimeError(
             f"no (c_plus, c_minus) grid point achieved a realized Pfa within "
-            f"{pfa_slack}x of {target_pfa}"
+            f"{_PFA_SLACK}x of {target_pfa}"
         )
     return results[best[1]]

@@ -60,6 +60,9 @@ def test_optimum_then_curve(tmp_path, pulse_file):
     np.testing.assert_array_equal(curve.snr_grid(), [-9.0, -6.0, -3.0])
     assert curve.trials_per_point == 500
     assert prov["family"] == "db5"
+    assert main(["curve", "--detector-file", str(det), "--pulse", str(pulse_file),
+                 "--snr-min", "-3", "--snr-max", "-9",
+                 "--trials", "500", "--seed", "5", "--out", str(csv)]) == 2
 
 
 def test_calibrate_analytic_and_mc(tmp_path, pulse_file):

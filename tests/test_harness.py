@@ -1,5 +1,6 @@
 """Experiment configuration, orchestration, and output verification."""
 
+import dataclasses
 import filecmp
 import os
 import shutil
@@ -13,6 +14,7 @@ from wavedet import (
     config_hash,
     experiment_check,
     gap_table,
+    harness,
     parse_config_text,
     run_experiment,
 )
@@ -77,6 +79,9 @@ def test_config_hash_tracks_content(mini_cfg):
     assert h1 != h2
     assert len(h1) == 16
     assert h1 == config_hash(parse_config_text(canonical_config_text(mini_cfg)))
+    # experiment_check re-hashes the parsed config.txt, so the text must round trip
+    ints = ExperimentConfig(**{**MINI, "sigma_n": 1, "snr_step": 3})
+    assert config_hash(ints) == config_hash(parse_config_text(canonical_config_text(ints)))
 
 
 def test_config_validation():
@@ -84,6 +89,9 @@ def test_config_validation():
         ExperimentConfig(**{**MINI, "length": 100})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**MINI, "scale_sets": ((7,),)})  # 2^(8-7) < 10
+    with pytest.raises(ValueError):
+        # 2^(8-6) equals the db2 filter length: the segment has no steady part
+        ExperimentConfig(**{**MINI, "family": "db2", "scale_sets": ((6,),)})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**MINI, "cal_trials": 1000})  # pfa * trials < 100
     with pytest.raises(ValueError):
@@ -197,3 +205,38 @@ def test_theory_curves_dominate_subsets(mini_run):
     report, _ = mini_run
     gap = report.theory["d3"].pd_values() - report.theory["d3_4"].pd_values()
     assert float(np.max(gap)) <= 1e-12
+
+
+def test_ceiling_violation_is_recorded_not_raised(tmp_path, monkeypatch):
+    from wavedet.cli import main
+
+    real_sweep = harness.sweep_curve
+
+    def svm_always_detects(det, *args, **kwargs):
+        curve = real_sweep(det, *args, **kwargs)
+        if det.detector_id.startswith("svm"):
+            curve = dataclasses.replace(
+                curve, points=tuple((snr, 1.0, 0.0) for snr, _, _ in curve.points))
+        return curve
+
+    monkeypatch.setattr(harness, "sweep_curve", svm_always_detects)
+    cfg = ExperimentConfig(
+        length=128, family="db2", scale_sets=((1,), (1, 2)), pfa=0.05,
+        snr_min=-24.0, snr_max=-12.0, snr_step=6.0, trials_per_point=200,
+        cal_trials=2000, n_pos=100, n_neg=100, c_grid=((0.1, 1.0),), seed=5,
+    )
+    out = tmp_path / "run"
+    report = run_experiment(cfg, str(out))
+    assert not report.valid
+    checks = (out / "checks.txt").read_text().splitlines()
+    assert checks[-1] == "INVALID"
+    assert any(ln.startswith("FAIL svm-theory-ceiling") for ln in checks)
+    assert (out / "gaps.csv").exists() and (out / "config.txt").exists()
+    ok, messages = experiment_check(str(out))
+    assert not ok
+    assert any("svm-theory-ceiling" in m for m in messages), messages
+
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(canonical_config_text(cfg))
+    assert main(["experiment", "run", "--config", str(cfg_file),
+                 "--out-dir", str(tmp_path / "cli")]) == 1

@@ -160,3 +160,13 @@ def test_writes_are_atomic(tmp_path, pulse256):
     io.write_signal(p, pulse256)  # overwrite in place
     leftovers = [f for f in os.listdir(tmp_path) if f != "sig.sig"]
     assert leftovers == []
+
+
+def test_written_files_follow_the_umask(tmp_path, pulse256):
+    p = tmp_path / "sig.sig"
+    old = os.umask(0o022)
+    try:
+        io.write_signal(p, pulse256)
+    finally:
+        os.umask(old)
+    assert os.stat(p).st_mode & 0o777 == 0o644

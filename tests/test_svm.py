@@ -172,10 +172,7 @@ def test_tune_c_picks_an_admissible_point(pulse256, db5, noise):
     ts = build_training_set(
         pulse256, (3, 4), db5, noise, 100, 100, (-12.0, 0.0), seed=6
     )
-    model, det = tune_c_for_pfa(
-        ts, 0.01, ((0.5, 5.0), (1.0, 10.0)), 20_000, 8, pulse256,
-        val_trials_per_point=200,
-    )
+    model, det = tune_c_for_pfa(ts, 0.01, ((0.5, 5.0), (1.0, 10.0)), 20_000, 8, pulse256)
     assert (model.c_plus, model.c_minus) in {(0.5, 5.0), (1.0, 10.0)}
     assert det.target_pfa == 0.01
 
