@@ -198,7 +198,7 @@ def statistic(d: DetailCoefficients, det: LinearDetector) -> float:
     """Inner product of a and d over the steady ranges."""
     _require_same_layout(d, det.layout)
     mask = det.layout.steady_mask()
-    tally_madds(int(mask.sum()))
+    tally_madds(det.layout.steady_length)
     return float(det.a[mask] @ d.values[mask])
 
 

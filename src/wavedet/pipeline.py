@@ -6,18 +6,26 @@ steady-range restrictions.  Monte Carlo generators are chunked: trial t
 always lands in chunk t // CHUNK with substream path (*path, chunk), so the
 realisation of trial t depends only on (seed, path, t), never on how many
 trials a caller asked for or in what order chunks were evaluated.
+
+Within a chunk, rows are drawn and transformed in blocks of about 1 MB of
+samples, so that a block's signal, padded rows and filter outputs stay in
+the L2 cache.  Successive draws from one substream continue it, so the
+blocks realise exactly the rows a single whole-chunk draw would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .rng import chunk_bounds, normal, substream
 from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
 from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid_batch
+
+# samples per block of a Monte Carlo chunk: 2^17 float64 values are 1 MB
+BLOCK_SAMPLES = 2**17
 
 
 def layout_for_scales(
@@ -77,8 +85,9 @@ class FeaturePipe:
             raise ValueError(
                 f"expected a (batch, {self.length}) array, got {X.shape}"
             )
-        _, dets = pyramid_batch(X, self.filters, max(self.layout.scales))
-        return np.concatenate([dets[s - 1] for s in self.layout.scales], axis=1)
+        lowest = min(self.layout.scales)
+        _, dets = pyramid_batch(X, self.filters, max(self.layout.scales), lowest)
+        return np.concatenate([dets[s - lowest] for s in self.layout.scales], axis=1)
 
     def steady_batch(self, X: np.ndarray) -> np.ndarray:
         """Steady-range detail features, one row per input row."""
@@ -96,14 +105,38 @@ class FeaturePipe:
 
     # -- chunked Monte Carlo feature streams ---------------------------------
 
+    def _iter_chunks(
+        self,
+        model: NoiseModel,
+        trials: int,
+        seed: int,
+        path: Sequence[int],
+        add_signal: Callable[[np.ndarray, int, int], None] | None,
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield (start, stop, features) per chunk, drawn and transformed in blocks.
+
+        ``add_signal(X, lo, hi)`` adds the signal part of trials lo..hi-1 to
+        their noise rows X in place, or is None for noise-only trials.
+        """
+        rows = max(1, BLOCK_SAMPLES // self.length)
+        for c, start, stop in chunk_bounds(int(trials)):
+            rng = substream(seed, (*path, c))
+            # column-major like steady_batch's masked result, so that a
+            # caller's F @ a runs the same BLAS kernel and rounds the same
+            F = np.empty((stop - start, self.steady_dim), order="F")
+            for i in range(0, stop - start, rows):
+                r = min(rows, stop - start - i)
+                X = normal(rng, (r, self.length), model.sigma_n)
+                if add_signal is not None:
+                    add_signal(X, start + i, start + i + r)
+                F[i:i + r] = self.steady_batch(X)
+            yield start, stop, F
+
     def iter_noise_steady(
         self, model: NoiseModel, trials: int, seed: int, path: Sequence[int] = ()
     ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield (start, stop, features) blocks of noise-only trials."""
-        for c, start, stop in chunk_bounds(int(trials)):
-            rng = substream(seed, (*path, c))
-            X = normal(rng, (stop - start, self.length), model.sigma_n)
-            yield start, stop, self.steady_batch(X)
+        return self._iter_chunks(model, trials, seed, path, None)
 
     def iter_obs_steady(
         self,
@@ -126,12 +159,12 @@ class FeaturePipe:
         if per_trial and snr.shape[0] != trials:
             raise ValueError("per-trial snr vector length must equal trials")
         amps = amplitude(snr, model)
-        for c, start, stop in chunk_bounds(int(trials)):
-            rng = substream(seed, (*path, c))
-            X = normal(rng, (stop - start, self.length), model.sigma_n)
-            a = amps[start:stop, None] if per_trial else float(amps)
+
+        def add_pulse(X: np.ndarray, lo: int, hi: int) -> None:
+            a = amps[lo:hi, None] if per_trial else float(amps)
             X += a * pulse.samples
-            yield start, stop, self.steady_batch(X)
+
+        return self._iter_chunks(model, trials, seed, path, add_pulse)
 
     def noise_steady(
         self, model: NoiseModel, trials: int, seed: int, path: Sequence[int] = ()

@@ -8,6 +8,16 @@ Periodic extension keeps the filter bank exactly orthogonal at every even
 input length, so Parseval holds to rounding error and white noise maps to
 white coefficients.
 
+Callers that need only the details from some level upward pass
+``min_level``: below it the pyramid runs the low-pass filter alone, since
+the high-pass outputs of those levels feed nothing.
+
+Each stage prepends the L - 1 periodic samples that the first windows reach
+back to, giving a fresh (batch, M + L - 1) array, and reads the M/2
+length-L windows that start at the even columns through an explicit strided
+view.  Window k covers padded columns 2k .. 2k + L - 1, so the last one
+(k = M/2 - 1) ends at column M + L - 3, inside the padded row.
+
 Detail vectors carry a per-scale ``steady_start`` index, set by
 ``pipeline.layout_for_scales``; detectors restrict their sums to indices at
 or beyond it so that boundary-affected coefficients never enter a detection
@@ -19,10 +29,11 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "WaveletFilterPair",
@@ -180,6 +191,9 @@ class ScaleLayout:
         object.__setattr__(self, "seg_lengths", lengths)
         object.__setattr__(self, "steady_starts", starts)
 
+    # offsets, the steady mask and steady_length sit on every per-observation
+    # path, so they are cached in the instance dict; the fields are frozen
+
     @property
     def total_length(self) -> int:
         return sum(self.seg_lengths)
@@ -188,7 +202,7 @@ class ScaleLayout:
     def source_length(self) -> int:
         return self.seg_lengths[0] * 2 ** self.scales[0]
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         out, acc = [], 0
         for m in self.seg_lengths:
@@ -203,13 +217,19 @@ class ScaleLayout:
             for off, m, t in zip(self.offsets, self.seg_lengths, self.steady_starts)
         )
 
-    def steady_mask(self) -> np.ndarray:
+    @cached_property
+    def _steady_mask(self) -> np.ndarray:
         mask = np.zeros(self.total_length, dtype=bool)
         for sl in self.steady_slices():
             mask[sl] = True
+        mask.flags.writeable = False
         return mask
 
-    @property
+    def steady_mask(self) -> np.ndarray:
+        """Read-only boolean mask of the steady indices, built once per layout."""
+        return self._steady_mask
+
+    @cached_property
     def steady_length(self) -> int:
         return sum(m - t for m, t in zip(self.seg_lengths, self.steady_starts))
 
@@ -236,7 +256,7 @@ class DetailCoefficients:
         return self.values[off : off + self.layout.seg_lengths[k]]
 
     def steady_values(self) -> np.ndarray:
-        return np.concatenate([self.values[sl] for sl in self.layout.steady_slices()])
+        return self.values[self.layout.steady_mask()]
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +303,29 @@ def _filter_down(X: np.ndarray, f: np.ndarray) -> np.ndarray:
     L = f.shape[0]
     if M % 2:
         raise ValueError(f"cannot decimate odd length {M}")
-    # periodic prefix of L-1 columns; modular indexing handles L - 1 >= M
-    cols = np.arange(M - (L - 1), M) % M
-    Xp = np.concatenate([X[:, cols], X], axis=1)
-    windows = sliding_window_view(Xp, L, axis=1)[:, ::2, :]
+    # periodic prefix of L-1 columns; modular indexing handles L - 1 > M
+    if L - 1 <= M:
+        prefix = X[:, M - (L - 1):]
+    else:
+        prefix = X[:, np.arange(M - (L - 1), M) % M]
+    Xp = np.concatenate([prefix, X], axis=1)
+    # window k reads Xp[:, 2k : 2k + L]; the last (k = M/2 - 1) ends at
+    # column M + L - 3 of the M + L - 1 that Xp holds
+    row, col = Xp.strides
+    windows = as_strided(Xp, shape=(B, M // 2, L), strides=(row, 2 * col, col),
+                         writeable=False)
     tally_madds(B * (M // 2) * L)
     return windows @ np.ascontiguousarray(f[::-1])
 
 
 def pyramid_batch(
-    X: np.ndarray, filters: WaveletFilterPair, max_level: int
+    X: np.ndarray, filters: WaveletFilterPair, max_level: int, min_level: int = 1
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Decompose a batch of rows; returns (approximation, [d_1 .. d_max])."""
+    """Decompose a batch of rows; returns (approximation, [d_min .. d_max]).
+
+    Levels below ``min_level`` run only the low-pass filter, so their
+    details are neither computed nor returned.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("pyramid_batch expects a 2-D batch")
@@ -304,9 +335,13 @@ def pyramid_batch(
     levels = int(max_level)
     if not 1 <= levels <= n.bit_length() - 1:
         raise ValueError(f"max_level {max_level} out of range for length {n}")
+    lowest = int(min_level)
+    if not 1 <= lowest <= levels:
+        raise ValueError(f"min_level {min_level} out of range 1..{levels}")
     approx = X
     details: list[np.ndarray] = []
-    for _ in range(levels):
-        details.append(_filter_down(approx, filters.g))
+    for level in range(1, levels + 1):
+        if level >= lowest:
+            details.append(_filter_down(approx, filters.g))
         approx = _filter_down(approx, filters.h)
     return approx, details

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wavedet import FeaturePipe, NoiseModel, layout_for_scales, make_chirp
-from wavedet.rng import CHUNK
+from wavedet import FeaturePipe, NoiseModel, amplitude, layout_for_scales, make_chirp
+from wavedet.pipeline import BLOCK_SAMPLES
+from wavedet.rng import CHUNK, chunk_bounds, normal, substream
 
 
 def test_layout_for_scales(db5):
@@ -52,6 +53,33 @@ def test_noise_stream_is_chunk_invariant(pipe34, noise):
     for start, stop, F in pipe34.iter_noise_steady(noise, CHUNK + 50, seed=9):
         rows[start:stop] = F
     np.testing.assert_array_equal(rows, full)
+
+
+def test_block_and_chunk_seams_keep_every_trial(pipe34, pulse256):
+    # at length 256 a chunk is transformed in 8 blocks of 512 rows; the
+    # streams must equal whole-chunk draws and transforms, trial for trial
+    assert CHUNK // (BLOCK_SAMPLES // 256) == 8
+    model = NoiseModel(sigma_n=1.7)
+    trials = CHUNK + 300
+    snr = np.linspace(-12.0, 2.0, trials)
+    mask = pipe34.layout.steady_mask()
+    noise_ref, obs_ref = [], []
+    for c, start, stop in chunk_bounds(trials):
+        X = normal(substream(21, (5, c)), (stop - start, 256), model.sigma_n)
+        noise_ref.append(pipe34.transform_batch(X)[:, mask])
+        X = normal(substream(22, (c,)), (stop - start, 256), model.sigma_n)
+        X += amplitude(snr[start:stop], model)[:, None] * pulse256.samples
+        obs_ref.append(pipe34.transform_batch(X)[:, mask])
+    np.testing.assert_array_equal(
+        pipe34.noise_steady(model, trials, seed=21, path=(5,)), np.concatenate(noise_ref))
+    np.testing.assert_array_equal(
+        pipe34.obs_steady(pulse256, snr, model, trials, seed=22), np.concatenate(obs_ref))
+    # detectors project each chunk with F @ a; the chunks must also share
+    # the reference's memory layout, or BLAS sums the products in another order
+    a = np.random.default_rng(3).standard_normal(pipe34.steady_dim)
+    chunks = pipe34.iter_noise_steady(model, trials, seed=21, path=(5,))
+    for (_, _, F), ref in zip(chunks, noise_ref):
+        np.testing.assert_array_equal(F @ a, ref @ a)
 
 
 def test_obs_stream_scalar_and_vector_snr(pipe34, pulse256, noise):

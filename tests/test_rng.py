@@ -79,6 +79,17 @@ def test_chunking_does_not_change_the_stream():
     np.testing.assert_array_equal(short, long[: CHUNK + 100])
 
 
+def test_successive_draws_continue_one_stream():
+    # blocked Monte Carlo draws a chunk's rows in several calls on one
+    # substream; they must equal the rows of a single call
+    m = 24
+    g = substream(13, (4, 2))
+    first = normal(g, (5, m), sigma=1.5)
+    second = normal(g, (11, m), sigma=1.5)
+    whole = normal(substream(13, (4, 2)), (16, m), sigma=1.5)
+    np.testing.assert_array_equal(np.concatenate([first, second]), whole)
+
+
 def test_rejects_bad_paths():
     with pytest.raises(ValueError):
         substream(1, (-1,))

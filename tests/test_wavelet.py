@@ -206,6 +206,11 @@ def test_steady_mask_matches_slices():
     for s, sl in zip(layout.scales, layout.steady_slices()):
         picked[sl] = True
     np.testing.assert_array_equal(mask, picked)
+    # the mask is built once per layout and shared, so nobody may edit it
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0] = True
+    np.testing.assert_array_equal(layout.steady_mask(), mask)
 
 
 def test_detail_segment_lookup(details34):
@@ -239,3 +244,34 @@ def test_op_counter_nests_and_resets(db5):
         pyramid_batch(x, db5, 1)
     assert inner.madds == (32 // 2) * 10 * 2
     assert outer.madds == 2 * inner.madds
+
+
+def test_min_level_runs_only_needed_filters(db5, rng):
+    x = rng.standard_normal((3, 128))
+    approx, full = pyramid_batch(x, db5, 4)
+    with count_ops() as ops:
+        lean_approx, lean = pyramid_batch(x, db5, 4, min_level=3)
+    assert len(lean) == 2
+    for got, want in zip(lean, full[2:]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(lean_approx, approx)
+    # low-pass only at levels 1 and 2 (inputs of 128 and 64 samples), both
+    # filters at levels 3 and 4 (inputs of 32 and 16), L = 10
+    assert ops.madds == 3 * 10 * (64 + 32 + 2 * 16 + 2 * 8)
+    for bad in (0, 5):
+        with pytest.raises(ValueError):
+            pyramid_batch(x, db5, 4, min_level=bad)
+
+
+@pytest.mark.parametrize("length, scales, madds", [
+    # the Pd-curve benchmark's pipe: 5,120 + 2,560 low-pass at levels 1-2,
+    # then 2,560 + 1,280 + 640 + 320 for both filters at levels 3-6
+    (1024, (3, 4, 5, 6), 12_480),
+    (256, (4, 3), 1_280 + 640 + 640 + 320),
+    (256, (1,), 2 * 1_280),
+])
+def test_steady_batch_cost_per_trial(db5, length, scales, madds):
+    pipe = FeaturePipe.for_scales(length, db5, scales)
+    with count_ops() as ops:
+        pipe.steady_batch(np.zeros((4, length)))
+    assert ops.madds == 4 * madds
