@@ -37,7 +37,7 @@ from .harness import (
     parse_config_text,
     run_experiment,
 )
-from .optimum import numerical_optimum_a, optimum_a
+from .optimum import optimum_a
 from .pipeline import FeaturePipe, layout_for_scales
 from .rng import RNG_ID, derive_seed, substream
 from .signals import (
@@ -56,7 +56,6 @@ from .svm import (
     calibrate_bias,
     decision,
     embed_weights,
-    kkt_violation,
     train,
     tune_c_for_pfa,
 )
@@ -81,13 +80,13 @@ __all__ = [
     "CheckResult", "ExperimentConfig", "ExperimentReport", "canonical_config_text",
     "config_hash", "experiment_check", "gap_table", "parse_config_text",
     "run_experiment",
-    "numerical_optimum_a", "optimum_a",
+    "optimum_a",
     "FeaturePipe", "layout_for_scales",
     "RNG_ID", "derive_seed", "substream",
     "Hypothesis", "NoiseModel", "SampledSignal", "amplitude", "make_chirp",
     "make_noise", "make_observation",
     "SvmModel", "TrainingSet", "build_training_set", "calibrate_bias", "decision",
-    "embed_weights", "kkt_violation", "train", "tune_c_for_pfa",
+    "embed_weights", "train", "tune_c_for_pfa",
     "DetailCoefficients", "ScaleLayout", "WaveletFilterPair", "count_ops",
     "db_filters", "parse_family", "pyramid_batch",
 ]

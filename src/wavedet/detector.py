@@ -187,19 +187,22 @@ class DetectionCurve:
 # ---------------------------------------------------------------------------
 # Statistics.
 
-def _require_same_layout(d: DetailCoefficients, layout: ScaleLayout) -> None:
-    if d.layout != layout:
-        raise ValueError(
-            f"coefficient layout {d.layout} does not match detector layout {layout}"
-        )
+def _require_layout(what: str, layout: ScaleLayout, det_layout: ScaleLayout) -> None:
+    if layout != det_layout:
+        raise ValueError(f"{what} layout {layout} does not match detector layout {det_layout}")
 
 
 def statistic(d: DetailCoefficients, det: LinearDetector) -> float:
     """Inner product of a and d over the steady ranges."""
-    _require_same_layout(d, det.layout)
+    _require_layout("coefficient", d.layout, det.layout)
     mask = det.layout.steady_mask()
     tally_madds(det.layout.steady_length)
     return float(det.a[mask] @ d.values[mask])
+
+
+def _max_abs(F: np.ndarray) -> np.ndarray:
+    """Largest |feature| of each row, or of a 1-d vector."""
+    return np.max(np.abs(F), axis=-1)
 
 
 def _steady_stat_fn(det: LinearDetector | MaxCoeffDetector) -> Callable[[np.ndarray], np.ndarray]:
@@ -207,7 +210,7 @@ def _steady_stat_fn(det: LinearDetector | MaxCoeffDetector) -> Callable[[np.ndar
     if isinstance(det, LinearDetector):
         a = det.steady_a()
         return lambda F: F @ a
-    return lambda F: np.max(np.abs(F), axis=1)
+    return _max_abs
 
 
 def analytic_stats(
@@ -274,6 +277,14 @@ def _check_mc_quantile_args(target_pfa: float, trials: int) -> None:
         )
 
 
+def _noise_quantile(
+    pipe: FeaturePipe, stat: Callable, model: NoiseModel, target_pfa: float, trials: int, seed: int
+) -> float:
+    """Empirical (1 - pfa) quantile of ``stat`` over seeded noise realisations."""
+    _check_mc_quantile_args(target_pfa, trials)
+    return _empirical_upper_quantile(pipe.noise_steady(model, trials, seed, stat=stat), target_pfa)
+
+
 def threshold_for_pfa_mc(
     a: np.ndarray,
     pipe: FeaturePipe,
@@ -283,15 +294,11 @@ def threshold_for_pfa_mc(
     seed: int,
 ) -> float:
     """Empirical (1 - pfa) quantile of v over seeded noise realisations."""
-    _check_mc_quantile_args(target_pfa, trials)
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (pipe.layout.total_length,):
         raise ValueError("coefficient vector does not match the pipe layout")
     a_s = a[pipe.layout.steady_mask()]
-    v = np.empty(trials)
-    for start, stop, F in pipe.iter_noise_steady(model, trials, seed):
-        v[start:stop] = F @ a_s
-    return _empirical_upper_quantile(v, target_pfa)
+    return _noise_quantile(pipe, lambda F: F @ a_s, model, target_pfa, trials, seed)
 
 
 def estimate_pd(
@@ -306,13 +313,9 @@ def estimate_pd(
     """Monte Carlo Pd at one SNR: fraction of H1 trials with v > V_T."""
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    if pipe.layout != det.layout:
-        raise ValueError("pipe layout does not match detector layout")
-    stat = _steady_stat_fn(det)
-    hits = 0
-    for _, _, F in pipe.iter_obs_steady(pulse, float(snr_db), model, trials, seed):
-        hits += int(np.count_nonzero(stat(F) > det.v_threshold))
-    pd = hits / trials
+    _require_layout("pipe", pipe.layout, det.layout)
+    v = pipe.obs_steady(pulse, float(snr_db), model, trials, seed, stat=_steady_stat_fn(det))
+    pd = int(np.count_nonzero(v > det.v_threshold)) / trials
     return pd, math.sqrt(pd * (1.0 - pd) / trials)
 
 
@@ -331,24 +334,17 @@ def realized_pfa_mc(
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     for det in dets:
-        if pipe.layout != det.layout:
-            raise ValueError("pipe layout does not match a detector layout")
-    stats = [_steady_stat_fn(det) for det in dets]
-    hits = [0] * len(dets)
-    for _, _, F in pipe.iter_noise_steady(model, trials, seed):
-        for k, (det, stat) in enumerate(zip(dets, stats)):
-            hits[k] += int(np.count_nonzero(stat(F) > det.v_threshold))
-    out = []
-    for h in hits:
-        p = h / trials
-        out.append((p, math.sqrt(p * (1.0 - p) / trials)))
-    return out
+        _require_layout("pipe", pipe.layout, det.layout)
+    fns = [_steady_stat_fn(det) for det in dets]
+    V = pipe.noise_steady(model, trials, seed, stat=lambda F: np.column_stack([f(F) for f in fns]))
+    hits = np.count_nonzero(V > [det.v_threshold for det in dets], axis=0)
+    return [(p, math.sqrt(p * (1.0 - p) / trials)) for p in (hits / trials).tolist()]
 
 
 def max_coeff_baseline(d: DetailCoefficients, v_threshold: float) -> bool:
     """True iff the largest steady-range |coefficient| exceeds the threshold."""
     _check_steady_nonempty(d.layout)
-    return bool(np.max(np.abs(d.steady_values())) > v_threshold)
+    return bool(_max_abs(d.steady_values()) > v_threshold)
 
 
 def calibrate_max_coeff(
@@ -360,12 +356,8 @@ def calibrate_max_coeff(
     detector_id: str = "max-coeff",
 ) -> MaxCoeffDetector:
     """Monte Carlo threshold for the baseline at the requested Pfa."""
-    _check_mc_quantile_args(target_pfa, trials)
     _check_steady_nonempty(pipe.layout)
-    v = np.empty(trials)
-    for start, stop, F in pipe.iter_noise_steady(model, trials, seed):
-        v[start:stop] = np.max(np.abs(F), axis=1)
-    vt = _empirical_upper_quantile(v, target_pfa)
+    vt = _noise_quantile(pipe, _max_abs, model, target_pfa, trials, seed)
     return MaxCoeffDetector(
         layout=pipe.layout,
         v_threshold=vt,

@@ -35,8 +35,8 @@ from .io import _atomic_write, read_curve_csv, read_detector, write_curve_csv, w
 from .optimum import optimum_a
 from .pipeline import FeaturePipe, layout_for_scales
 from .rng import RNG_ID, derive_seed
-from .signals import NoiseModel, make_chirp, make_observation
-from .svm import SvmModel, build_training_set, decision, tune_c_for_pfa
+from .signals import NoiseModel, _check_band, make_chirp, make_observation
+from .svm import SvmModel, _check_smo_args, build_training_set, decision, tune_c_for_pfa
 from .wavelet import parse_family
 
 __all__ = [
@@ -105,6 +105,8 @@ class ExperimentConfig:
                     )
         object.__setattr__(self, "scale_sets", sets)
         object.__setattr__(self, "c_grid", tuple((float(a), float(m)) for a, m in self.c_grid))
+        _check_band(self.f_start, self.f_end)
+        NoiseModel(self.sigma_n)
         _check_mc_quantile_args(self.pfa, self.cal_trials)
         snr_grid(self.snr_min, self.snr_max, self.snr_step)
         if self.trials_per_point < 100:
@@ -113,6 +115,10 @@ class ExperimentConfig:
             raise ValueError("n_pos and n_neg must be at least 1")
         if not self.c_grid:
             raise ValueError("c_grid must be non-empty")
+        for cp, cm in self.c_grid:
+            _check_smo_args(cp, cm, self.kkt_tolerance, self.max_passes)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def snr_grid(self) -> tuple[float, ...]:
         return snr_grid(self.snr_min, self.snr_max, self.snr_step)
@@ -120,6 +126,9 @@ class ExperimentConfig:
 
 def snr_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """lo, lo + step, ... up to hi inclusive (within 1e-9 of a step)."""
+    for name, v in (("snr_min", lo), ("snr_max", hi), ("snr_step", step)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if not lo < hi:
         raise ValueError(f"snr_min {lo} must be below snr_max {hi}")
     if step <= 0:
@@ -547,7 +556,7 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
             path = os.path.join(out_dir, f"{kind}_{label}.det")
             try:
                 det, family, signal_length, _ = read_detector(path)
-            except (OSError, ValueError, KeyError) as e:
+            except (OSError, ValueError) as e:
                 fail(f"cannot load {path}: {e}")
                 continue
             if family != cfg.family:

@@ -32,6 +32,11 @@ _KIND_OF_HYP = {
 }
 _HYP_OF_KIND = {v: k for k, v in _KIND_OF_HYP.items()}
 
+# header fields each reader needs; every writer emits them
+_SIGNAL_KEYS = ("length", "kind", "snr_db", "seed")
+_LAYOUT_KEYS = ("scales", "segment_bounds", "steady_starts")
+_COEFFS_KEYS = ("length", *_LAYOUT_KEYS, "family", "signal_length")
+
 
 def _atomic_write(path: str, data: bytes) -> None:
     # "xb" on a fresh name creates the file exclusively with the umask-derived
@@ -57,7 +62,9 @@ def _header_line(tag: str, fields: Mapping[str, str]) -> bytes:
     return (line + "\n").encode("ascii")
 
 
-def _split_header(raw: bytes, tag: str, path: str) -> tuple[dict[str, str], bytes]:
+def _split_header(
+    raw: bytes, tag: str, path: str, required: tuple[str, ...]
+) -> tuple[dict[str, str], bytes]:
     nl = raw.find(b"\n")
     if nl < 0:
         raise ValueError(f"{path}: missing header line")
@@ -71,6 +78,9 @@ def _split_header(raw: bytes, tag: str, path: str) -> tuple[dict[str, str], byte
         if not sep:
             raise ValueError(f"{path}: malformed header field {part!r}")
         fields[k] = v
+    for k in required:
+        if k not in fields:
+            raise ValueError(f"{path}: header lacks the {k!r} field")
     return fields, raw[nl + 1 :]
 
 
@@ -104,7 +114,7 @@ def write_signal(path: str, sig: SampledSignal) -> None:
 def read_signal(path: str) -> SampledSignal:
     with open(path, "rb") as fh:
         raw = fh.read()
-    fields, body = _split_header(raw, _SIGNAL_TAG, path)
+    fields, body = _split_header(raw, _SIGNAL_TAG, path, _SIGNAL_KEYS)
     samples = _payload_floats(body, path)
     if samples.shape[0] != int(fields["length"]):
         raise ValueError(f"{path}: payload length does not match header")
@@ -157,7 +167,7 @@ def write_coeffs(path: str, d: DetailCoefficients, family: str, signal_length: i
 def read_coeffs(path: str) -> tuple[DetailCoefficients, str, int]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    fields, body = _split_header(raw, _COEFFS_TAG, path)
+    fields, body = _split_header(raw, _COEFFS_TAG, path, _COEFFS_KEYS)
     values = _payload_floats(body, path)
     if values.shape[0] != int(fields["length"]):
         raise ValueError(f"{path}: payload length does not match header")
@@ -171,11 +181,10 @@ def read_coeffs(path: str) -> tuple[DetailCoefficients, str, int]:
 
 # -- detectors ----------------------------------------------------------------
 
-_DETECTOR_KEYS = {
-    "kind", "detector_id", "pfa", "v_threshold", "scales", "segment_bounds",
-    "steady_starts", "family", "signal_length", "calibration", "cal_trials",
-    "cal_seed", "rng",
-}
+_DETECTOR_KEYS = (
+    "kind", "detector_id", "pfa", "v_threshold", *_LAYOUT_KEYS, "family", "signal_length",
+    "calibration", "cal_trials", "cal_seed", "rng",
+)
 
 
 def write_detector(
@@ -213,7 +222,7 @@ def read_detector(
 ) -> tuple[LinearDetector | MaxCoeffDetector, str, int, dict[str, str]]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    fields, body = _split_header(raw, _DETECTOR_TAG, path)
+    fields, body = _split_header(raw, _DETECTOR_TAG, path, _DETECTOR_KEYS)
     layout = _layout_from_fields(fields, path)
     rng = fields["rng"]
     cal = Calibration(

@@ -1,11 +1,19 @@
-"""Batched signal-to-feature pipeline used by every Monte Carlo loop.
+"""Batched signal-to-feature pipeline and the one Monte Carlo stream.
 
 A FeaturePipe fixes the (signal length, filter pair, scale layout) triple
 and turns raw sample batches into concatenated detail vectors or their
-steady-range restrictions.  Monte Carlo generators are chunked: trial t
+steady-range restrictions.  Monte Carlo streams are chunked: trial t
 always lands in chunk t // CHUNK with substream path (*path, chunk), so the
 realisation of trial t depends only on (seed, path, t), never on how many
 trials a caller asked for or in what order chunks were evaluated.
+
+``noise_steady`` and ``obs_steady`` are the only streams.  They apply a
+caller's row statistic (F @ a, max |F|, by default the features) to each
+whole chunk's column-major steady features and return its values in trial
+order.  BLAS picks its kernel, and so its rounding, from the operand's
+shape: F @ a over a one-row block rounds differently from the same row in
+its chunk.  Chunk bounds are fixed by CHUNK, so whole-chunk values are
+reproducible; per-block values would also depend on BLOCK_SAMPLES.
 
 Within a chunk, rows are drawn and transformed in blocks of about 1 MB of
 samples, so that a block's signal, padded rows and filter outputs stay in
@@ -16,7 +24,7 @@ blocks realise exactly the rows a single whole-chunk draw would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,31 +106,31 @@ class FeaturePipe:
         samples = x.samples if isinstance(x, SampledSignal) else np.asarray(x)
         return DetailCoefficients(self.transform_batch(samples[None, :])[0], self.layout)
 
-    def template_steady(self, pulse: SampledSignal) -> np.ndarray:
-        if pulse.hypothesis is not Hypothesis.TEMPLATE:
-            raise ValueError("expected a pulse template")
-        return self.details_of(pulse).steady_values()
+    # -- chunked Monte Carlo streams -------------------------------------------
 
-    # -- chunked Monte Carlo feature streams ---------------------------------
-
-    def _iter_chunks(
+    def _stream(
         self,
         model: NoiseModel,
         trials: int,
         seed: int,
         path: Sequence[int],
         add_signal: Callable[[np.ndarray, int, int], None] | None,
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield (start, stop, features) per chunk, drawn and transformed in blocks.
+        stat: Callable[[np.ndarray], np.ndarray] | None,
+    ) -> np.ndarray:
+        """``stat`` of each chunk's features, drawn and transformed in blocks.
 
         ``add_signal(X, lo, hi)`` adds the signal part of trials lo..hi-1 to
         their noise rows X in place, or is None for noise-only trials.
         """
+        stat = stat or (lambda F: F)
+        # the statistic of an empty chunk fixes the shape and type of the values
+        v = stat(np.empty((0, self.steady_dim), order="F"))
+        out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
         rows = max(1, BLOCK_SAMPLES // self.length)
         for c, start, stop in chunk_bounds(int(trials)):
             rng = substream(seed, (*path, c))
             # column-major like steady_batch's masked result, so that a
-            # caller's F @ a runs the same BLAS kernel and rounds the same
+            # statistic such as F @ a runs the same BLAS kernel and rounds the same
             F = np.empty((stop - start, self.steady_dim), order="F")
             for i in range(0, stop - start, rows):
                 r = min(rows, stop - start - i)
@@ -130,15 +138,21 @@ class FeaturePipe:
                 if add_signal is not None:
                     add_signal(X, start + i, start + i + r)
                 F[i:i + r] = self.steady_batch(X)
-            yield start, stop, F
+            out[start:stop] = stat(F)
+        return out
 
-    def iter_noise_steady(
-        self, model: NoiseModel, trials: int, seed: int, path: Sequence[int] = ()
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield (start, stop, features) blocks of noise-only trials."""
-        return self._iter_chunks(model, trials, seed, path, None)
+    def noise_steady(
+        self,
+        model: NoiseModel,
+        trials: int,
+        seed: int,
+        path: Sequence[int] = (),
+        stat: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Noise-only trials: ``stat`` of each trial's steady features (default: the features)."""
+        return self._stream(model, trials, seed, path, None, stat)
 
-    def iter_obs_steady(
+    def obs_steady(
         self,
         pulse: SampledSignal,
         snr_db,
@@ -146,8 +160,9 @@ class FeaturePipe:
         trials: int,
         seed: int,
         path: Sequence[int] = (),
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield feature blocks of pulse-plus-noise trials.
+        stat: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Pulse-plus-noise trials: ``stat`` of each trial's steady features.
 
         ``snr_db`` is a scalar applied to every trial or a length-``trials``
         vector giving each trial its own SNR.
@@ -164,26 +179,4 @@ class FeaturePipe:
             a = amps[lo:hi, None] if per_trial else float(amps)
             X += a * pulse.samples
 
-        return self._iter_chunks(model, trials, seed, path, add_pulse)
-
-    def noise_steady(
-        self, model: NoiseModel, trials: int, seed: int, path: Sequence[int] = ()
-    ) -> np.ndarray:
-        blocks = [F for _, _, F in self.iter_noise_steady(model, trials, seed, path)]
-        if not blocks:
-            return np.empty((0, self.steady_dim))
-        return np.concatenate(blocks, axis=0)
-
-    def obs_steady(
-        self,
-        pulse: SampledSignal,
-        snr_db,
-        model: NoiseModel,
-        trials: int,
-        seed: int,
-        path: Sequence[int] = (),
-    ) -> np.ndarray:
-        blocks = [F for _, _, F in self.iter_obs_steady(pulse, snr_db, model, trials, seed, path)]
-        if not blocks:
-            return np.empty((0, self.steady_dim))
-        return np.concatenate(blocks, axis=0)
+        return self._stream(model, trials, seed, path, add_pulse, stat)

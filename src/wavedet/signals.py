@@ -88,6 +88,15 @@ def amplitude(snr_db, model: NoiseModel) -> np.ndarray:
     return 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 20.0) * model.sigma_n**2
 
 
+def _check_band(f_start: float, f_end: float) -> None:
+    """Chirp endpoints strictly inside (0, 0.5) cycles/sample, and distinct."""
+    for name, f in (("f_start", f_start), ("f_end", f_end)):
+        if not (0.0 < f < 0.5):
+            raise ValueError(f"{name} must lie in (0, 0.5), got {f}")
+    if f_start == f_end:
+        raise ValueError("f_start and f_end must differ (degenerate sweep)")
+
+
 def make_chirp(length: int, f_start: float = 0.05, f_end: float = 0.45) -> SampledSignal:
     """Unit-power linear chirp sweeping f_start -> f_end (cycles/sample).
 
@@ -97,11 +106,7 @@ def make_chirp(length: int, f_start: float = 0.05, f_end: float = 0.45) -> Sampl
     differ, so the sweep is non-degenerate and alias-free.
     """
     _require_pow2(length)
-    for name, f in (("f_start", f_start), ("f_end", f_end)):
-        if not (0.0 < f < 0.5):
-            raise ValueError(f"{name} must lie in (0, 0.5), got {f}")
-    if f_start == f_end:
-        raise ValueError("f_start and f_end must differ (degenerate sweep)")
+    _check_band(f_start, f_end)
     t = np.arange(length, dtype=np.float64)
     x = _scipy_chirp(t, f0=f_start, t1=float(length - 1), f1=f_end, method="linear")
     x = x / math.sqrt(float(np.mean(x * x)))

@@ -19,6 +19,7 @@ the hinge loss alone does not pin the operating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 from .detector import (
     Calibration,
     LinearDetector,
+    _require_layout,
     estimate_pd,
     realized_pfa_mc,
     threshold_for_pfa_mc,
@@ -186,6 +188,15 @@ def _kkt_sets(alphas: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[np.nd
     return i_up, i_low
 
 
+def _check_smo_args(c_plus: float, c_minus: float, kkt_tolerance: float, max_passes: int) -> None:
+    """Reject box bounds, tolerance or pass budget that train cannot use."""
+    for name, v in (("c_plus", c_plus), ("c_minus", c_minus), ("kkt_tolerance", kkt_tolerance)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
+
+
 def train(
     ts: TrainingSet,
     c_plus: float,
@@ -202,12 +213,7 @@ def train(
     pass budget runs out first the model is returned with
     ``converged=False``.
     """
-    if c_plus <= 0 or c_minus <= 0:
-        raise ValueError("c_plus and c_minus must be positive")
-    if kkt_tolerance <= 0:
-        raise ValueError("kkt_tolerance must be positive")
-    if max_passes < 1:
-        raise ValueError("max_passes must be at least 1")
+    _check_smo_args(c_plus, c_minus, kkt_tolerance, max_passes)
     X = ts.X
     y = ts.y.astype(np.float64)
     n = ts.n_patterns
@@ -284,20 +290,9 @@ def _snap_to_box(alphas: np.ndarray, box: np.ndarray, k: int) -> None:
         alphas[k] = box[k]
 
 
-def kkt_violation(model: SvmModel, X: np.ndarray) -> float:
-    """Largest remaining violation m - M of the dual optimality conditions."""
-    y = model.y.astype(np.float64)
-    f = (X @ X.T) @ (model.alphas * y)
-    F = y - f
-    box = np.where(model.y == 1, model.c_plus, model.c_minus)
-    i_up, i_low = _kkt_sets(model.alphas, model.y, box)
-    return float(np.max(F[i_up]) - np.min(F[i_low]))
-
-
 def decision(model: SvmModel, d: DetailCoefficients) -> float:
     """f(x) = <w, x> + b on the steady-range features of ``d``."""
-    if d.layout != model.layout:
-        raise ValueError("coefficient layout does not match the training layout")
+    _require_layout("coefficient", d.layout, model.layout)
     return float(model.w @ d.steady_values() + model.b)
 
 
@@ -315,26 +310,22 @@ def calibrate_bias(
     target_pfa: float,
     trials: int,
     seed: int,
-    detector_id: str | None = None,
 ) -> LinearDetector:
     """Freeze the direction w; replace b with a Monte Carlo threshold.
 
     The returned detector uses a = w (embedded in the full layout) and the
     empirical (1 - pfa) quantile of w-projected noise as its threshold.
     """
-    if pipe.layout != model.layout:
-        raise ValueError("pipe layout does not match the training layout")
+    _require_layout("pipe", pipe.layout, model.layout)
     a = embed_weights(model)
     vt = threshold_for_pfa_mc(a, pipe, noise, target_pfa, trials, seed)
-    if detector_id is None:
-        detector_id = "svm-" + "_".join(str(s) for s in model.layout.scales)
     return LinearDetector(
         a=a,
         layout=model.layout,
         v_threshold=vt,
         target_pfa=float(target_pfa),
         calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed), rng_id=RNG_ID),
-        detector_id=detector_id,
+        detector_id="svm-" + "_".join(str(s) for s in model.layout.scales),
     )
 
 

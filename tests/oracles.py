@@ -1,0 +1,60 @@
+"""Test-only oracles: independent re-derivations the package is checked against."""
+
+import numpy as np
+
+from wavedet.rng import normal, substream
+
+
+def numerical_optimum_a(pulse_details, tol=1e-9, max_iters=500, seed=0):
+    """Gradient ascent of the deflection <a, s> on the unit sphere.
+
+    Starts from a random unit vector, follows the sphere-tangent gradient
+    of <a, s> with renormalisation each step, and stops when the relative
+    objective change drops below ``tol``.  A start trapped at the antipodal
+    stationary point (negative deflection, zero gradient) is retried from
+    the next substream.  Returns a full-layout unit vector like optimum_a.
+    """
+    layout = pulse_details.layout
+    mask = layout.steady_mask()
+    s = pulse_details.values[mask]
+    nrm = float(np.linalg.norm(s))
+    if nrm == 0.0:
+        raise ValueError("template has no energy on the steady ranges of these scales")
+    for attempt in range(8):
+        rng = substream(seed, (attempt,))
+        a = normal(rng, s.shape[0])
+        a /= np.linalg.norm(a)
+        obj = float(a @ s)
+        converged = False
+        for _ in range(int(max_iters)):
+            grad = s - obj * a  # tangent component of the objective gradient
+            a = a + grad / nrm
+            a /= np.linalg.norm(a)
+            new_obj = float(a @ s)
+            if abs(new_obj - obj) <= tol * max(abs(new_obj), 1e-30):
+                obj = new_obj
+                converged = True
+                break
+            obj = new_obj
+        if converged and obj > 0.0:
+            out = np.zeros(layout.total_length)
+            out[mask] = a
+            return out
+    raise RuntimeError(f"deflection ascent failed to converge within {max_iters} iterations")
+
+
+def kkt_violation(model, X):
+    """Largest remaining violation m - M of the SVM dual optimality conditions.
+
+    With beta = alpha * y and F_i = y_i - sum_k beta_k <x_i, x_k>, index i
+    can raise beta_i unless it sits on the bound in that direction (I_up),
+    and lower it unless it sits on the other bound (I_low).
+    """
+    y = model.y.astype(np.float64)
+    F = y - (X @ X.T) @ (model.alphas * y)
+    box = np.where(model.y == 1, model.c_plus, model.c_minus)
+    at_zero, at_box = model.alphas <= 0.0, model.alphas >= box
+    pos = model.y == 1
+    i_up = np.where(pos, ~at_box, ~at_zero)
+    i_low = np.where(pos, ~at_zero, ~at_box)
+    return float(np.max(F[i_up]) - np.min(F[i_low]))

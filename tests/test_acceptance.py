@@ -23,10 +23,8 @@ from wavedet import (
     count_ops,
     db_filters,
     derive_seed,
-    kkt_violation,
     make_chirp,
     make_observation,
-    numerical_optimum_a,
     optimum_a,
     parse_family,
     pyramid_batch,
@@ -37,6 +35,7 @@ from wavedet import (
     threshold_for_pfa_mc,
     train,
 )
+from oracles import kkt_violation, numerical_optimum_a
 from wavedet.rng import substream
 from wavedet.svm import TrainingSet
 from wavedet.wavelet import ScaleLayout
@@ -202,7 +201,7 @@ def test_c2_noise_statistics(pipes, pulse, noise):
     var_coeff = float(np.mean(F**2))
     bound_coeff = 3.0 * np.sqrt(2.0 / m)
 
-    t = pipe.template_steady(pulse)
+    t = pipe.details_of(pulse).steady_values()
     v = F @ t
     var_stat = float(np.mean(v**2))
     sigma_v2 = float(np.dot(t, t))

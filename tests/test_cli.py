@@ -63,6 +63,13 @@ def test_optimum_then_curve(tmp_path, pulse_file):
     assert main(["curve", "--detector-file", str(det), "--pulse", str(pulse_file),
                  "--snr-min", "-3", "--snr-max", "-9",
                  "--trials", "500", "--seed", "5", "--out", str(csv)]) == 2
+    assert main(["curve", "--detector-file", str(det), "--pulse", str(pulse_file),
+                 "--snr-max", "inf", "--trials", "500", "--seed", "5", "--out", str(csv)]) == 2
+    # a detector file whose header lacks a field is reported, not a traceback
+    header, sep, payload = det.read_bytes().partition(b"\n")
+    det.write_bytes(header.replace(b"; rng=none", b"") + sep + payload)
+    assert main(["curve", "--detector-file", str(det), "--pulse", str(pulse_file),
+                 "--trials", "500", "--seed", "5", "--out", str(csv)]) == 2
 
 
 def test_calibrate_analytic_and_mc(tmp_path, pulse_file):

@@ -60,7 +60,7 @@ def test_analytic_stats_hand_case(pipe34, pulse256, noise):
     st = analytic_stats(d, det.a, -3.0, noise, det.v_threshold)
     # matched filter: mean shift is amplitude * template steady norm,
     # statistic spread is sigma_n (a has unit norm)
-    tnorm = float(np.linalg.norm(pipe34.template_steady(pulse256)))
+    tnorm = float(np.linalg.norm(pipe34.details_of(pulse256).steady_values()))
     amp = 10.0 ** (-3.0 / 20.0)
     assert st.sigma_v == pytest.approx(1.0, rel=1e-12)
     assert st.eta_h1 == pytest.approx(amp * tnorm, rel=1e-12)

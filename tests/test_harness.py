@@ -98,6 +98,17 @@ def test_config_validation():
         ExperimentConfig(**{**MINI, "scale_sets": ((3,), (3,))})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**MINI, "snr_min": 5.0})
+    bad_fields = [
+        ("snr_max", float("inf")), ("snr_min", float("-inf")), ("snr_step", float("inf")),
+        ("snr_max", float("nan")), ("sigma_n", -1.0), ("sigma_n", float("nan")),
+        ("f_start", 0.7), ("f_end", 0.05), ("kkt_tolerance", -1.0), ("max_passes", 0),
+        ("c_grid", ((1.0, 0.0),)), ("seed", -1),
+    ]
+    for key, value in bad_fields:
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{**MINI, key: value})
+    with pytest.raises(ValueError):
+        parse_config_text("snr_max = inf\n")
 
 
 def test_mini_experiment_passes_checks(mini_run):

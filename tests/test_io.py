@@ -59,6 +59,25 @@ def test_signal_rejects_corrupt_header(tmp_path, pulse256):
         io.read_signal(bad)
 
 
+def test_readers_reject_a_missing_header_field(tmp_path, pipe34, pulse256, noise):
+    # a file lacking a field is malformed (ValueError), not a KeyError
+    d = pipe34.details_of(pulse256)
+    det = optimum_a(d, 1e-2, noise)
+    cases = (
+        ("rng", io.write_detector, (det, "db5", 256), io.read_detector),
+        ("seed", io.write_signal, (pulse256,), io.read_signal),
+        ("family", io.write_coeffs, (d, "db5", 256), io.read_coeffs),
+    )
+    for key, write, args, read in cases:
+        p = tmp_path / f"no-{key}"
+        write(p, *args)
+        header, sep, payload = p.read_bytes().partition(b"\n")
+        kept = [f for f in header.split(b"; ") if not f.startswith(key.encode() + b"=")]
+        p.write_bytes(b"; ".join(kept) + sep + payload)
+        with pytest.raises(ValueError, match=key):
+            read(p)
+
+
 def test_signal_rejects_truncated_payload(tmp_path, pulse256):
     p = tmp_path / "x.sig"
     io.write_signal(p, pulse256)

@@ -35,13 +35,6 @@ def test_steady_batch_selects_mask(pipe34, rng):
     assert pipe34.steady_dim == S.shape[1] == 28
 
 
-def test_template_steady(pipe34, pulse256):
-    s = pipe34.template_steady(pulse256)
-    d = pipe34.details_of(pulse256)
-    np.testing.assert_array_equal(s, d.steady_values())
-    assert np.linalg.norm(s) > 1.0
-
-
 def test_noise_stream_is_chunk_invariant(pipe34, noise):
     # the same trial indices produce the same rows regardless of how many
     # trials are materialized in one call
@@ -49,10 +42,16 @@ def test_noise_stream_is_chunk_invariant(pipe34, noise):
     head = pipe34.noise_steady(noise, 30, seed=9)
     np.testing.assert_array_equal(full[:30], head)
 
-    rows = np.empty_like(full)
-    for start, stop, F in pipe34.iter_noise_steady(noise, CHUNK + 50, seed=9):
-        rows[start:stop] = F
-    np.testing.assert_array_equal(rows, full)
+    # the statistic sees each whole chunk once, and its values land in trial order
+    sizes = []
+
+    def first_feature(F):
+        sizes.append(F.shape[0])
+        return F[:, 0]
+
+    v = pipe34.noise_steady(noise, CHUNK + 50, seed=9, stat=first_feature)
+    assert [n for n in sizes if n] == [CHUNK, 50]
+    np.testing.assert_array_equal(v, full[:, 0])
 
 
 def test_block_and_chunk_seams_keep_every_trial(pipe34, pulse256):
@@ -77,9 +76,23 @@ def test_block_and_chunk_seams_keep_every_trial(pipe34, pulse256):
     # detectors project each chunk with F @ a; the chunks must also share
     # the reference's memory layout, or BLAS sums the products in another order
     a = np.random.default_rng(3).standard_normal(pipe34.steady_dim)
-    chunks = pipe34.iter_noise_steady(model, trials, seed=21, path=(5,))
-    for (_, _, F), ref in zip(chunks, noise_ref):
-        np.testing.assert_array_equal(F @ a, ref @ a)
+    np.testing.assert_array_equal(
+        pipe34.noise_steady(model, trials, seed=21, path=(5,), stat=lambda F: F @ a),
+        np.concatenate([ref @ a for ref in noise_ref]))
+
+
+def test_statistic_sees_whole_chunks(pipe34):
+    # 4609 trials: the second chunk's 513 rows are transformed as blocks of
+    # 512 and 1, and BLAS rounds F @ a over a one-row block differently from
+    # the same row inside its chunk; with this a the last value differs by
+    # an ulp on x86-64 OpenBLAS, so a statistic applied per block fails here
+    trials = CHUNK + BLOCK_SAMPLES // 256 + 1
+    a = np.random.default_rng(0).standard_normal(pipe34.steady_dim)
+    ref = [pipe34.steady_batch(normal(substream(5, (c,)), (stop - start, 256)))
+           for c, start, stop in chunk_bounds(trials)]
+    np.testing.assert_array_equal(
+        pipe34.noise_steady(NoiseModel(), trials, seed=5, stat=lambda F: F @ a),
+        np.concatenate([F @ a for F in ref]))
 
 
 def test_obs_stream_scalar_and_vector_snr(pipe34, pulse256, noise):
@@ -96,7 +109,7 @@ def test_obs_equals_noise_plus_scaled_template(pipe34, pulse256, noise):
     # the transform is linear, so features superpose exactly up to rounding
     obs = pipe34.obs_steady(pulse256, 0.0, noise, 16, seed=11)
     noi = pipe34.noise_steady(noise, 16, seed=11)
-    tmpl = pipe34.template_steady(pulse256)
+    tmpl = pipe34.details_of(pulse256).steady_values()
     np.testing.assert_allclose(obs, noi + tmpl, rtol=0, atol=1e-12)
 
 
@@ -111,7 +124,9 @@ def test_pipe_rejects_wrong_length_input(pipe34):
         pipe34.transform_batch(np.zeros((2, 128)))
 
 
-def test_pipe_rejects_wrong_template_length(pipe34):
+def test_pipe_rejects_wrong_template_length(pipe34, noise):
     short = make_chirp(128)
     with pytest.raises(ValueError):
-        pipe34.template_steady(short)
+        pipe34.details_of(short)
+    with pytest.raises(ValueError):
+        pipe34.obs_steady(short, 0.0, noise, 8, seed=1)

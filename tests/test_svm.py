@@ -15,12 +15,12 @@ from wavedet import (
     calibrate_bias,
     decision,
     embed_weights,
-    kkt_violation,
     realized_pfa_mc,
     statistic,
     train,
     tune_c_for_pfa,
 )
+from oracles import kkt_violation
 from wavedet.svm import TrainingSet, SvmModel
 
 
