@@ -172,6 +172,8 @@ class DetectionCurve:
             raise ValueError("snr_db values must be strictly increasing")
         if any(not 0.0 <= p <= 1.0 for _, p, _ in pts):
             raise ValueError("pd values must lie in [0, 1]")
+        if not all(math.isfinite(s) and math.isfinite(e) for s, _, e in pts):
+            raise ValueError("snr_db and stderr values must be finite")
         object.__setattr__(self, "points", pts)
 
     def snr_grid(self) -> np.ndarray:
@@ -213,6 +215,22 @@ def _steady_stat_fn(det: LinearDetector | MaxCoeffDetector) -> Callable[[np.ndar
     return _max_abs
 
 
+def _steady_weights(a: np.ndarray, layout: ScaleLayout) -> np.ndarray:
+    """A full-layout weight vector's entries on the steady indices."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (layout.total_length,):
+        raise ValueError(f"coefficient vector of shape {a.shape} does not match the layout")
+    return a[layout.steady_mask()]
+
+
+def _sigma_v(a_steady: np.ndarray, model: NoiseModel) -> float:
+    """Noise spread sigma_n * ||a_steady|| of the linear statistic."""
+    sigma_v = model.sigma_n * float(np.linalg.norm(a_steady))
+    if sigma_v == 0.0:
+        raise ValueError("a is zero on every steady index")
+    return sigma_v
+
+
 def analytic_stats(
     pulse_details: DetailCoefficients,
     a: np.ndarray,
@@ -226,16 +244,9 @@ def analytic_stats(
     of a with the template's details; the spread is sigma_n * ||a_steady||
     under both hypotheses.
     """
-    a = np.asarray(a, dtype=np.float64)
-    layout = pulse_details.layout
-    if a.shape != (layout.total_length,):
-        raise ValueError("coefficient vector does not match the template's layout")
-    mask = layout.steady_mask()
-    a_s = a[mask]
-    sigma_v = model.sigma_n * float(np.linalg.norm(a_s))
-    if sigma_v == 0.0:
-        raise ValueError("a is zero on every steady index")
-    eta = float(amplitude(snr_db, model)) * float(a_s @ pulse_details.values[mask])
+    a_s = _steady_weights(a, pulse_details.layout)
+    sigma_v = _sigma_v(a_s, model)
+    eta = float(amplitude(snr_db, model)) * float(a_s @ pulse_details.steady_values())
     return DetectorStats(
         eta_h1=eta,
         sigma_v=sigma_v,
@@ -250,13 +261,7 @@ def threshold_for_pfa_analytic(
     """Closed-form V_T = sigma_v * Qinv(target_pfa) for the linear statistic."""
     if not 0.0 < target_pfa < 1.0:
         raise ValueError(f"target_pfa must lie in (0, 1), got {target_pfa}")
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (layout.total_length,):
-        raise ValueError("coefficient vector does not match the layout")
-    sigma_v = model.sigma_n * float(np.linalg.norm(a[layout.steady_mask()]))
-    if sigma_v == 0.0:
-        raise ValueError("a is zero on every steady index")
-    return sigma_v * qfunc_inv(target_pfa)
+    return _sigma_v(_steady_weights(a, layout), model) * qfunc_inv(target_pfa)
 
 
 def _empirical_upper_quantile(v: np.ndarray, target_pfa: float) -> float:
@@ -294,10 +299,7 @@ def threshold_for_pfa_mc(
     seed: int,
 ) -> float:
     """Empirical (1 - pfa) quantile of v over seeded noise realisations."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (pipe.layout.total_length,):
-        raise ValueError("coefficient vector does not match the pipe layout")
-    a_s = a[pipe.layout.steady_mask()]
+    a_s = _steady_weights(a, pipe.layout)
     return _noise_quantile(pipe, lambda F: F @ a_s, model, target_pfa, trials, seed)
 
 

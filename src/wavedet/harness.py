@@ -25,6 +25,7 @@ from .detector import (
     DetectionCurve,
     LinearDetector,
     _check_mc_quantile_args,
+    _sigma_v,
     analytic_stats,
     calibrate_max_coeff,
     statistic,
@@ -278,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             (cfg.snr_min, cfg.snr_max), derive_seed(cfg.seed, _P_TRAIN, bi),
         )
         model, det_svm = tune_c_for_pfa(
-            ts, cfg.pfa, cfg.c_grid, cfg.cal_trials,
+            ts, noise, pipe, cfg.pfa, cfg.c_grid, cfg.cal_trials,
             derive_seed(cfg.seed, _P_TUNE, bi), pulse,
             kkt_tolerance=cfg.kkt_tolerance, max_passes=cfg.max_passes,
         )
@@ -371,7 +372,7 @@ def _check_threshold_agreement(
     vt_mc = threshold_for_pfa_mc(
         det_opt.a, pipe, noise, cfg.pfa, cfg.cal_trials, derive_seed(cfg.seed, _P_VTMC, bi)
     )
-    sigma_v = noise.sigma_n * float(np.linalg.norm(det_opt.steady_a()))
+    sigma_v = _sigma_v(det_opt.steady_a(), noise)
     z = det_opt.v_threshold / sigma_v
     density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     se = sigma_v * math.sqrt(cfg.pfa * (1.0 - cfg.pfa) / cfg.cal_trials) / density

@@ -24,8 +24,6 @@ def optimum_a(
     detector_id: str | None = None,
 ) -> LinearDetector:
     """Deflection-maximising unit-norm coefficients with analytic threshold."""
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError(f"target_pfa must lie in (0, 1), got {target_pfa}")
     layout = pulse_details.layout
     mask = layout.steady_mask()
     s = pulse_details.values[mask]

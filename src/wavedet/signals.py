@@ -61,6 +61,8 @@ class SampledSignal:
     def __post_init__(self) -> None:
         x = np.asarray(self.samples, dtype=np.float64)
         _require_pow2(x.shape[0] if x.ndim == 1 else -1)
+        if not np.isfinite(x).all():
+            raise ValueError("samples must be finite")
         x = x.copy()
         x.flags.writeable = False
         object.__setattr__(self, "samples", x)
@@ -84,8 +86,18 @@ def _require_pow2(n: int) -> None:
 
 
 def amplitude(snr_db, model: NoiseModel) -> np.ndarray:
-    """Pulse amplitude A = 10**(snr_db/20) * sigma_n**2, elementwise for arrays."""
-    return 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 20.0) * model.sigma_n**2
+    """Pulse amplitude A = 10**(snr_db/20) * sigma_n**2, elementwise for arrays.
+
+    Every SNR becomes an amplitude here, so this is where a non-finite SNR,
+    or one whose amplitude overflows, is rejected.
+    """
+    snr = np.asarray(snr_db, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        amp = 10.0 ** (snr / 20.0) * model.sigma_n**2
+    if not (np.isfinite(snr).all() and np.isfinite(amp).all()):
+        got = f", got {float(snr)}" if snr.ndim == 0 else ""
+        raise ValueError(f"snr_db must be finite with a finite amplitude{got}")
+    return amp
 
 
 def _check_band(f_start: float, f_end: float) -> None:

@@ -36,7 +36,7 @@ from .detector import (
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed, substream, uniform
 from .signals import Hypothesis, NoiseModel, SampledSignal
-from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, parse_family
+from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair
 
 __all__ = [
     "TrainingSet",
@@ -61,16 +61,16 @@ _VAL_TRIALS = 500
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Labelled steady-range detail patterns: +1 pulse+noise, -1 noise."""
+    """Labelled steady-range detail patterns: +1 pulse+noise, -1 noise.
+
+    It holds only what train and tune_c_for_pfa read; the pipe and noise
+    model that drew the patterns stay with the caller.
+    """
 
     X: np.ndarray              # (n, dim) patterns, one per row
     y: np.ndarray              # (n,) labels in {+1, -1}
     snr_db_pos: np.ndarray     # SNR of each positive row, in row order
-    seed: int
     layout: ScaleLayout
-    signal_length: int
-    family_name: str
-    sigma_n: float
     snr_range: tuple[float, float]
 
     def __post_init__(self) -> None:
@@ -156,8 +156,8 @@ def build_training_set(
     if n_pos < 1 or n_neg < 1:
         raise ValueError("both classes need at least one pattern")
     lo, hi = float(snr_range[0]), float(snr_range[1])
-    if not lo <= hi:
-        raise ValueError(f"snr_range must satisfy lo <= hi, got {snr_range}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"snr_range must be finite with lo <= hi, got {snr_range}")
     if pulse.hypothesis is not Hypothesis.TEMPLATE:
         raise ValueError("build_training_set requires a pulse template")
     pipe = FeaturePipe.for_scales(pulse.length, filters, scales)
@@ -170,11 +170,7 @@ def build_training_set(
         X=X,
         y=y,
         snr_db_pos=snrs,
-        seed=int(seed),
         layout=pipe.layout,
-        signal_length=pulse.length,
-        family_name=filters.family_name,
-        sigma_n=model.sigma_n,
         snr_range=(lo, hi),
     )
 
@@ -331,6 +327,8 @@ def calibrate_bias(
 
 def tune_c_for_pfa(
     ts: TrainingSet,
+    noise: NoiseModel,
+    pipe: FeaturePipe,
     target_pfa: float,
     c_grid: Sequence[tuple[float, float]],
     validation_noise_trials: int,
@@ -344,29 +342,24 @@ def tune_c_for_pfa(
     Admissible means the realized false-alarm rate on an independent noise
     set lies within a factor of 2 of the target; among admissible
     models the one with the highest mean validation Pd over the training
-    SNR grid wins (first grid point on ties).  Fully deterministic given
-    (ts, seed).
+    SNR grid wins (first grid point on ties).  ``noise`` and ``pipe`` must
+    be the ones that drew ``ts``; a pipe on another layout is rejected
+    before any training.  Fully deterministic given (ts, pipe, noise,
+    pulse, seed).
     """
     grid = [(float(cp), float(cm)) for cp, cm in c_grid]
     if not grid:
         raise ValueError("c_grid must be non-empty")
-    noise = NoiseModel(sigma_n=ts.sigma_n)
-    pipe = FeaturePipe(
-        length=ts.signal_length,
-        filters=parse_family(ts.family_name),
-        layout=ts.layout,
-    )
+    _require_layout("pipe", pipe.layout, ts.layout)
     lo, hi = ts.snr_range
     val_grid = np.arange(lo, hi + 1e-9, 1.0)
-    best: tuple[float, int] | None = None
-    results: list[tuple[SvmModel, LinearDetector]] = []
+    best: tuple[float, SvmModel, LinearDetector] | None = None
     for gi, (cp, cm) in enumerate(grid):
         svm_model = train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes)
         det = calibrate_bias(
             svm_model, noise, pipe, target_pfa, validation_noise_trials,
             derive_seed(seed, gi, 0),
         )
-        results.append((svm_model, det))
         pfa_hat, _ = realized_pfa_mc(
             [det], noise, validation_noise_trials, derive_seed(seed, gi, 1), pipe
         )[0]
@@ -381,10 +374,10 @@ def tune_c_for_pfa(
             pd_sum += pd
         mean_pd = pd_sum / val_grid.shape[0]
         if best is None or mean_pd > best[0]:
-            best = (mean_pd, gi)
+            best = (mean_pd, svm_model, det)
     if best is None:
         raise RuntimeError(
             f"no (c_plus, c_minus) grid point achieved a realized Pfa within "
             f"{_PFA_SLACK}x of {target_pfa}"
         )
-    return results[best[1]]
+    return best[1], best[2]

@@ -442,9 +442,7 @@ def test_c9_smo_against_qp_oracle():
         c_minus = float(g.choice([0.3, 1.0, 3.0]))
 
         ts = TrainingSet(
-            X=X, y=y, snr_db_pos=np.zeros(5), seed=0, layout=layout,
-            signal_length=16, family_name="db5", sigma_n=1.0,
-            snr_range=(-15.0, 0.0),
+            X=X, y=y, snr_db_pos=np.zeros(5), layout=layout, snr_range=(-15.0, 0.0),
         )
         model = train(ts, c_plus, c_minus, kkt_tolerance=tol, max_passes=100_000)
         assert model.converged, f"case {case}: SMO hit the pass limit"

@@ -137,3 +137,18 @@ def test_default_config_prints(capsys):
 def test_unreadable_file_is_reported(tmp_path):
     assert main(["dwt", "--in", str(tmp_path / "nope.sig"), "--levels", "2",
                  "--out", str(tmp_path / "o.coef")]) == 2
+
+
+def test_gen_rejects_a_non_finite_snr(tmp_path):
+    out = tmp_path / "o.sig"
+    assert main(["gen", "--kind", "observation", "--length", "256", "--seed", "1",
+                 "--snr-db", "inf", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_dwt_rejects_non_finite_samples(tmp_path, pulse_file):
+    raw = pulse_file.read_bytes()
+    bad = tmp_path / "bad.sig"
+    bad.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    assert main(["dwt", "--in", str(bad), "--levels", "4",
+                 "--out", str(tmp_path / "c.coef")]) == 2

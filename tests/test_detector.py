@@ -181,11 +181,11 @@ def test_detection_curve_validation():
             pfa=0.01, points=((0.0, 0.5, 0.0), (-1.0, 0.6, 0.0)),
             detector_id="x", trials_per_point=10, seed=0,
         )
-    with pytest.raises(ValueError):
-        DetectionCurve(
-            pfa=0.01, points=((0.0, 1.5, 0.0),),
-            detector_id="x", trials_per_point=10, seed=0,
-        )
+    for point in ((0.0, 1.5, 0.0), (np.nan, 0.5, 0.0), (0.0, 0.5, np.inf)):
+        with pytest.raises(ValueError):
+            DetectionCurve(
+                pfa=0.01, points=(point,), detector_id="x", trials_per_point=10, seed=0,
+            )
 
 
 def test_linear_detector_validation(pipe34, noise):
@@ -199,3 +199,9 @@ def test_linear_detector_validation(pipe34, noise):
         Calibration("monte_carlo")
     with pytest.raises(ValueError):
         Calibration("bogus")
+
+
+def test_sweep_curve_rejects_a_non_finite_snr(pipe34, pulse256, noise):
+    det = optimum_a(pipe34.details_of(pulse256), 1e-2, noise)
+    with pytest.raises(ValueError, match="finite"):
+        sweep_curve(det, pulse256, [np.nan], noise, 500, 31, pipe34)

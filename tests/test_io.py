@@ -189,3 +189,24 @@ def test_written_files_follow_the_umask(tmp_path, pulse256):
     finally:
         os.umask(old)
     assert os.stat(p).st_mode & 0o777 == 0o644
+
+
+def test_signal_rejects_non_finite_payload(tmp_path, noise):
+    p = tmp_path / "n.sig"
+    io.write_signal(p, make_noise(64, noise, seed=2))
+    p.write_bytes(p.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="finite"):
+        io.read_signal(p)
+
+
+def test_curve_rejects_a_non_finite_snr_row(tmp_path, pipe34, pulse256, noise):
+    det = optimum_a(pipe34.details_of(pulse256), 1e-2, noise)
+    curve = sweep_curve(det, pulse256, (-9.0, -6.0), noise, 500, 13, pipe34)
+    p = tmp_path / "c.csv"
+    io.write_curve_csv(p, curve, {})
+    lines = p.read_text().splitlines()
+    lines[-1] = "nan" + lines[-1][lines[-1].index(","):]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        io.read_curve_csv(bad)

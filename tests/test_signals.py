@@ -103,3 +103,12 @@ def test_noise_model_validation():
         NoiseModel(sigma_n=0.0)
     with pytest.raises(ValueError):
         NoiseModel(sigma_n=-1.0)
+
+
+@pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan, 1e4])
+def test_observation_rejects_a_non_finite_snr_or_amplitude(pulse256, noise, snr_db):
+    # 1e4 dB is finite but its amplitude overflows
+    with pytest.raises(ValueError, match="snr_db"):
+        make_observation(pulse256, snr_db, noise, seed=1)
+    with pytest.raises(ValueError, match="snr_db"):
+        amplitude(np.array([0.0, snr_db]), noise)

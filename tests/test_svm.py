@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wavedet import (
+    FeaturePipe,
     NoiseModel,
     build_training_set,
     calibrate_bias,
@@ -21,6 +22,7 @@ from wavedet import (
     tune_c_for_pfa,
 )
 from oracles import kkt_violation
+from wavedet import svm as svm_module
 from wavedet.svm import TrainingSet, SvmModel
 
 
@@ -29,11 +31,7 @@ def tiny_set(X, y, layout):
         X=np.asarray(X, dtype=float),
         y=np.asarray(y, dtype=float),
         snr_db_pos=np.zeros(int(np.sum(np.asarray(y) > 0))),
-        seed=0,
         layout=layout,
-        signal_length=256,
-        family_name="db5",
-        sigma_n=1.0,
         snr_range=(-15.0, 0.0),
     )
 
@@ -168,13 +166,27 @@ def test_calibrated_bias_hits_target_pfa(pulse256, pipe34, db5, noise):
     assert abs(pfa_hat - 0.02) < 5 * se
 
 
-def test_tune_c_picks_an_admissible_point(pulse256, db5, noise):
+def test_tune_c_picks_an_admissible_point(pulse256, pipe34, db5, noise):
     ts = build_training_set(
         pulse256, (3, 4), db5, noise, 100, 100, (-12.0, 0.0), seed=6
     )
-    model, det = tune_c_for_pfa(ts, 0.01, ((0.5, 5.0), (1.0, 10.0)), 20_000, 8, pulse256)
+    model, det = tune_c_for_pfa(
+        ts, noise, pipe34, 0.01, ((0.5, 5.0), (1.0, 10.0)), 20_000, 8, pulse256
+    )
     assert (model.c_plus, model.c_minus) in {(0.5, 5.0), (1.0, 10.0)}
     assert det.target_pfa == 0.01
+
+
+def test_tune_c_rejects_a_pipe_on_another_layout(monkeypatch, pulse256, db5, noise):
+    ts = build_training_set(
+        pulse256, (3, 4), db5, noise, 20, 20, (-12.0, 0.0), seed=6
+    )
+    fits = []
+    monkeypatch.setattr(svm_module, "train", lambda *a, **k: fits.append(a))
+    pipe3 = FeaturePipe.for_scales(256, db5, (3,))
+    with pytest.raises(ValueError, match="layout"):
+        tune_c_for_pfa(ts, noise, pipe3, 0.01, ((1.0, 10.0),), 20_000, 8, pulse256)
+    assert fits == []
 
 
 def test_train_input_validation(pipe34):
@@ -206,3 +218,9 @@ def test_model_validation(pipe34):
             objective_history=(1.0,),
             layout=pipe34.layout,
         )
+
+
+@pytest.mark.parametrize("snr_range", [(-5.0, np.inf), (-np.inf, 0.0)])
+def test_build_training_set_rejects_a_non_finite_snr_range(pulse256, db5, noise, snr_range):
+    with pytest.raises(ValueError, match="snr_range"):
+        build_training_set(pulse256, (3, 4), db5, noise, 20, 20, snr_range, seed=3)
