@@ -19,21 +19,61 @@ Within a chunk, rows are drawn and transformed in blocks of about 1 MB of
 samples, so that a block's signal, padded rows and filter outputs stay in
 the L2 cache.  Successive draws from one substream continue it, so the
 blocks realise exactly the rows a single whole-chunk draw would.
+
+The calling thread draws each block's integers from the chunk's substream,
+in order; ``Generator.integers`` holds the GIL, so it gains nothing from
+threads.  A pool of one worker per usable CPU does the rest of each block
+(inverse CDF, signal, pyramid), which releases the GIL, into the block's
+rows of the chunk.  At most one block per worker is in flight.  Once every
+block of a chunk has settled, the calling thread re-raises the first
+worker error, or applies the statistic to the whole chunk, so the values
+do not depend on which thread transformed which block.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import chunk_bounds, normal, substream
+from .rng import chunk_bounds, normal_from_ints, normal_ints, substream
 from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
 from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid_batch
 
 # samples per block of a Monte Carlo chunk: 2^17 float64 values are 1 MB
 BLOCK_SAMPLES = 2**17
+
+_pool: tuple[ThreadPoolExecutor, int] | None = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool() -> tuple[ThreadPoolExecutor, int]:
+    """The block workers and their number, one per usable CPU, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            if hasattr(os, "sched_getaffinity"):
+                size = len(os.sched_getaffinity(0))
+            else:
+                size = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(size, thread_name_prefix="wavedet-block"), size
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the executor but none of its threads, so work
+    # submitted to it would never run; the child starts its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def layout_for_scales(
@@ -127,19 +167,44 @@ class FeaturePipe:
         v = stat(np.empty((0, self.steady_dim), order="F"))
         out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
         rows = max(1, BLOCK_SAMPLES // self.length)
+        pool, size = _block_pool()
         for c, start, stop in chunk_bounds(int(trials)):
             rng = substream(seed, (*path, c))
             # column-major like steady_batch's masked result, so that a
             # statistic such as F @ a runs the same BLAS kernel and rounds the same
             F = np.empty((stop - start, self.steady_dim), order="F")
-            for i in range(0, stop - start, rows):
-                r = min(rows, stop - start - i)
-                X = normal(rng, (r, self.length), model.sigma_n)
-                if add_signal is not None:
-                    add_signal(X, start + i, start + i + r)
-                F[i:i + r] = self.steady_batch(X)
+            blocks: list[Future] = []
+            try:
+                for i in range(0, stop - start, rows):
+                    U = normal_ints(rng, (min(rows, stop - start - i), self.length))
+                    # at most `size` blocks in flight; submit nothing after a failure
+                    if len(blocks) >= size and blocks[-size].exception() is not None:
+                        break
+                    # each block runs in its own copy of the caller's context,
+                    # so that count_ops and other context state reach it
+                    blocks.append(pool.submit(contextvars.copy_context().run, self._block,
+                                              F[i:i + U.shape[0]], U, model.sigma_n,
+                                              add_signal, start + i))
+            finally:
+                wait(blocks)
+            for b in blocks:
+                b.result()
             out[start:stop] = stat(F)
         return out
+
+    def _block(
+        self,
+        F: np.ndarray,
+        U: np.ndarray,
+        sigma: float,
+        add_signal: Callable[[np.ndarray, int, int], None] | None,
+        lo: int,
+    ) -> None:
+        """Steady features of the trials lo.. drawn as ``U``, written into their rows ``F``."""
+        X = normal_from_ints(U, sigma)
+        if add_signal is not None:
+            add_signal(X, lo, lo + X.shape[0])
+        F[...] = self.steady_batch(X)
 
     def noise_steady(
         self,

@@ -49,13 +49,26 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def normal(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
-    """Draw N(0, sigma^2) variates via the inverse CDF of 53-bit uniforms."""
-    u = rng.integers(1, 1 << 53, size=shape)
+def normal_ints(rng: np.random.Generator, shape) -> np.ndarray:
+    """The 53-bit uniform integers behind ``normal``: the stage that advances ``rng``."""
+    return rng.integers(1, 1 << 53, size=shape)
+
+
+def normal_from_ints(u: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+    """Map ``normal_ints`` draws to N(0, sigma^2) variates through the inverse CDF.
+
+    A pure function of ``u``: it reads no generator, so it may run on any
+    thread once the integers are drawn.
+    """
     z = ndtri(u * (1.0 / _TWO53))
     if sigma != 1.0:
         z *= sigma
     return z
+
+
+def normal(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
+    """Draw N(0, sigma^2) variates via the inverse CDF of 53-bit uniforms."""
+    return normal_from_ints(normal_ints(rng, shape), sigma)
 
 
 def uniform(rng: np.random.Generator, shape, lo: float, hi: float) -> np.ndarray:

@@ -74,6 +74,8 @@ class SampledSignal:
                 raise ValueError("a template carries no SNR")
         if self.hypothesis is Hypothesis.OBSERVATION and self.snr_db is None:
             raise ValueError("an observation requires snr_db")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
     @property
     def length(self) -> int:
@@ -92,8 +94,9 @@ def amplitude(snr_db, model: NoiseModel) -> np.ndarray:
     or one whose amplitude overflows, is rejected.
     """
     snr = np.asarray(snr_db, dtype=np.float64)
+    # numpy squares a huge sigma_n to inf, where a Python float raises OverflowError
     with np.errstate(over="ignore"):
-        amp = 10.0 ** (snr / 20.0) * model.sigma_n**2
+        amp = 10.0 ** (snr / 20.0) * np.float64(model.sigma_n) ** 2
     if not (np.isfinite(snr).all() and np.isfinite(amp).all()):
         got = f", got {float(snr)}" if snr.ndim == 0 else ""
         raise ValueError(f"snr_db must be finite with a finite amplitude{got}")

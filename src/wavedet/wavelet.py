@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -263,10 +264,17 @@ class DetailCoefficients:
 # Operation counting.  When a counter is active, the pyramid and the
 # detector statistic tally the multiply-add count implied by their actual
 # loop extents; used to check the linear-in-length complexity contract.
+# Monte Carlo block workers run in copies of the caller's context, so they
+# add to the caller's counter concurrently.
 
 class OpCounter:
     def __init__(self) -> None:
         self.madds = 0
+        self._lock = threading.Lock()
+
+    def add(self, n: int) -> None:
+        with self._lock:
+            self.madds += n
 
 
 _ACTIVE_COUNTER: contextvars.ContextVar[OpCounter | None] = contextvars.ContextVar(
@@ -287,7 +295,7 @@ def count_ops() -> Iterator[OpCounter]:
 def tally_madds(n: int) -> None:
     counter = _ACTIVE_COUNTER.get()
     if counter is not None:
-        counter.madds += int(n)
+        counter.add(int(n))
 
 
 # ---------------------------------------------------------------------------

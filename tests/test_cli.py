@@ -146,6 +146,15 @@ def test_gen_rejects_a_non_finite_snr(tmp_path):
     assert not out.exists()
 
 
+def test_gen_rejects_an_amplitude_that_overflows(tmp_path, capsys):
+    # sigma_n = 1e200 is a valid noise model, but A = 10**(snr/20) * sigma_n**2 is not finite
+    out = tmp_path / "o.sig"
+    assert main(["gen", "--kind", "observation", "--length", "64", "--sigma", "1e200",
+                 "--snr-db", "0", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_dwt_rejects_non_finite_samples(tmp_path, pulse_file):
     raw = pulse_file.read_bytes()
     bad = tmp_path / "bad.sig"

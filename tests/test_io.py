@@ -199,6 +199,17 @@ def test_signal_rejects_non_finite_payload(tmp_path, noise):
         io.read_signal(p)
 
 
+def test_signal_rejects_a_non_finite_snr_header(tmp_path, pulse256, noise):
+    p = tmp_path / "o.sig"
+    io.write_signal(p, make_observation(pulse256, -3.0, noise, seed=2))
+    raw = p.read_bytes()
+    # nan is the header's "no SNR", which an observation cannot have
+    for bad in (b"inf", b"-inf", b"nan"):
+        p.write_bytes(raw.replace(b"snr_db=-3.0;", b"snr_db=" + bad + b";", 1))
+        with pytest.raises(ValueError, match="snr_db"):
+            io.read_signal(p)
+
+
 def test_curve_rejects_a_non_finite_snr_row(tmp_path, pipe34, pulse256, noise):
     det = optimum_a(pipe34.details_of(pulse256), 1e-2, noise)
     curve = sweep_curve(det, pulse256, (-9.0, -6.0), noise, 500, 13, pipe34)

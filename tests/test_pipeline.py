@@ -1,7 +1,12 @@
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from wavedet import FeaturePipe, NoiseModel, amplitude, layout_for_scales, make_chirp
+from wavedet import FeaturePipe, NoiseModel, amplitude, layout_for_scales, make_chirp, pipeline
 from wavedet.pipeline import BLOCK_SAMPLES
 from wavedet.rng import CHUNK, chunk_bounds, normal, substream
 
@@ -93,6 +98,76 @@ def test_statistic_sees_whole_chunks(pipe34):
     np.testing.assert_array_equal(
         pipe34.noise_steady(NoiseModel(), trials, seed=5, stat=lambda F: F @ a),
         np.concatenate([F @ a for F in ref]))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_streams_do_not_depend_on_the_worker_count(pipe34, pulse256, monkeypatch, workers):
+    model = NoiseModel(sigma_n=1.3)
+    trials = CHUNK + 700
+    a = np.random.default_rng(4).standard_normal(pipe34.steady_dim)
+
+    def streams():
+        return (pipe34.noise_steady(model, trials, seed=7, stat=lambda F: F @ a),
+                pipe34.obs_steady(pulse256, np.linspace(-9.0, 0.0, trials), model, trials,
+                                  seed=8))
+
+    want = streams()
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(pipeline, "_pool", (pool, workers))
+        got = streams()
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_workers(pipe34, noise):
+    # the child inherits the block pool but not its threads; a stream that
+    # submitted to it would wait forever
+    want = pipe34.noise_steady(noise, 2000, seed=3)
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = np.array_equal(pipe34.noise_steady(noise, 2000, seed=3), want)
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_a_failing_block_stops_the_stream(pipe34, noise, monkeypatch):
+    # at length 256 a chunk is 8 blocks; the third raises while its
+    # neighbours are still being transformed
+    lock = threading.Lock()
+    state = {"calls": 0, "running": 0}
+    steady_batch = FeaturePipe.steady_batch
+
+    def flaky(self, X):
+        with lock:
+            state["calls"] += 1
+            state["running"] += 1
+            call = state["calls"]
+        try:
+            time.sleep(0.02)
+            if call == 3:
+                raise RuntimeError("block failed")
+            return steady_batch(self, X)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    monkeypatch.setattr(FeaturePipe, "steady_batch", flaky)
+    with pytest.raises(RuntimeError, match="block failed"):
+        pipe34.noise_steady(noise, 2 * CHUNK, seed=1)
+    # every block had settled before the error left the stream, and no
+    # block of the second chunk was started
+    assert state["running"] == 0
+    assert 3 <= state["calls"] <= CHUNK // (BLOCK_SAMPLES // 256)
 
 
 def test_obs_stream_scalar_and_vector_snr(pipe34, pulse256, noise):

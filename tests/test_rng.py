@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from wavedet.rng import CHUNK, RNG_ID, chunk_bounds, derive_seed, normal, substream, uniform
+from wavedet.rng import (
+    CHUNK,
+    RNG_ID,
+    chunk_bounds,
+    derive_seed,
+    normal,
+    normal_from_ints,
+    normal_ints,
+    substream,
+    uniform,
+)
 
 
 def test_rng_id_is_pinned():
@@ -88,6 +98,11 @@ def test_successive_draws_continue_one_stream():
     second = normal(g, (11, m), sigma=1.5)
     whole = normal(substream(13, (4, 2)), (16, m), sigma=1.5)
     np.testing.assert_array_equal(np.concatenate([first, second]), whole)
+    # Monte Carlo blocks draw the integers and map them in separate stages;
+    # composed, the stages are normal itself
+    g = substream(13, (4, 2))
+    staged = [normal_from_ints(normal_ints(g, (rows, m)), 1.5) for rows in (5, 11)]
+    np.testing.assert_array_equal(np.concatenate(staged), whole)
 
 
 def test_rejects_bad_paths():

@@ -6,6 +6,10 @@ sliding-window code path.  Orthogonality and energy preservation are then
 checked as properties across families and lengths.
 """
 
+import contextvars
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from wavedet import (
     DetailCoefficients,
     FeaturePipe,
+    NoiseModel,
     ScaleLayout,
     count_ops,
     db_filters,
@@ -20,7 +25,8 @@ from wavedet import (
     parse_family,
     pyramid_batch,
 )
-from wavedet.wavelet import WaveletFilterPair
+from wavedet.rng import CHUNK
+from wavedet.wavelet import WaveletFilterPair, tally_madds
 
 
 def stage_matrix(f: np.ndarray, n: int) -> np.ndarray:
@@ -275,3 +281,31 @@ def test_steady_batch_cost_per_trial(db5, length, scales, madds):
     with count_ops() as ops:
         pipe.steady_batch(np.zeros((4, length)))
     assert ops.madds == 4 * madds
+
+
+def test_count_ops_sees_the_monte_carlo_blocks(db5):
+    # the blocks run on worker threads; the caller's counter still gets
+    # every trial's multiply-adds, as pinned for this pipe above
+    pipe = FeaturePipe.for_scales(256, db5, (4, 3))
+    with count_ops() as ops:
+        pipe.noise_steady(NoiseModel(), CHUNK + 300, seed=2)
+    assert ops.madds == (CHUNK + 300) * (1_280 + 640 + 640 + 320)
+
+
+def test_op_counter_keeps_concurrent_tallies():
+    # more threads than cores, switching often: an unlocked += loses updates
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with count_ops() as ops:
+            threads = [threading.Thread(target=contextvars.copy_context().run,
+                                        args=(lambda: [tally_madds(1) for _ in range(20_000)],))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert ops.madds == 8 * 20_000
