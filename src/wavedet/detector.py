@@ -55,8 +55,7 @@ def qfunc(x: float) -> float:
 
 def qfunc_inv(p: float) -> float:
     """Inverse of qfunc: the x with Q(x) = p, i.e. -Phi^-1(p)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"tail probability must lie in (0, 1), got {p}")
+    _check_pfa(p, "tail probability")
     return -float(ndtri(p))
 
 
@@ -76,9 +75,22 @@ class Calibration:
             raise ValueError("monte_carlo calibration must record trials and seed")
 
 
+def _check_pfa(p: float, name: str = "target_pfa") -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {p}")
+
+
 def _check_steady_nonempty(layout: ScaleLayout) -> None:
     if layout.steady_length == 0:
         raise ValueError("layout has no steady coefficients at any retained scale")
+
+
+def _check_detector(det: LinearDetector | MaxCoeffDetector) -> None:
+    """The checks both detector kinds share: Pfa, threshold and steady range."""
+    _check_pfa(det.target_pfa)
+    if not math.isfinite(det.v_threshold):
+        raise ValueError("v_threshold must be finite")
+    _check_steady_nonempty(det.layout)
 
 
 @dataclass(frozen=True)
@@ -99,11 +111,7 @@ class LinearDetector:
                 f"coefficient length {a.shape} does not match layout total "
                 f"{self.layout.total_length}"
             )
-        if not 0.0 < self.target_pfa < 1.0:
-            raise ValueError(f"target_pfa must lie in (0, 1), got {self.target_pfa}")
-        if not math.isfinite(self.v_threshold):
-            raise ValueError("v_threshold must be finite")
-        _check_steady_nonempty(self.layout)
+        _check_detector(self)
         if not np.any(a[self.layout.steady_mask()]):
             raise ValueError("a must have a non-zero entry within the steady ranges")
         a.flags.writeable = False
@@ -124,11 +132,9 @@ class MaxCoeffDetector:
     detector_id: str = "max-coeff"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.target_pfa < 1.0:
-            raise ValueError(f"target_pfa must lie in (0, 1), got {self.target_pfa}")
+        _check_detector(self)
         if self.calibration.method != "monte_carlo":
             raise ValueError("the max-coefficient baseline is calibrated only by Monte Carlo")
-        _check_steady_nonempty(self.layout)
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,7 @@ class DetectionCurve:
     rng_id: str = RNG_ID
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.pfa < 1.0:
-            raise ValueError(f"pfa must lie in (0, 1), got {self.pfa}")
+        _check_pfa(self.pfa, "pfa")
         pts = tuple((float(s), float(p), float(e)) for s, p, e in self.points)
         if not pts:
             raise ValueError("a detection curve needs at least one point")
@@ -259,8 +264,7 @@ def threshold_for_pfa_analytic(
     a: np.ndarray, layout: ScaleLayout, model: NoiseModel, target_pfa: float
 ) -> float:
     """Closed-form V_T = sigma_v * Qinv(target_pfa) for the linear statistic."""
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError(f"target_pfa must lie in (0, 1), got {target_pfa}")
+    _check_pfa(target_pfa)
     return _sigma_v(_steady_weights(a, layout), model) * qfunc_inv(target_pfa)
 
 
@@ -273,8 +277,7 @@ def _empirical_upper_quantile(v: np.ndarray, target_pfa: float) -> float:
 
 
 def _check_mc_quantile_args(target_pfa: float, trials: int) -> None:
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError(f"target_pfa must lie in (0, 1), got {target_pfa}")
+    _check_pfa(target_pfa)
     if trials * target_pfa < 100:
         raise ValueError(
             f"trials * target_pfa = {trials * target_pfa:g} < 100; "

@@ -272,7 +272,7 @@ def write_curve_csv(path: str, curve: DetectionCurve, provenance: Mapping[str, s
 
 def read_curve_csv(path: str) -> tuple[DetectionCurve, dict[str, str]]:
     prov: dict[str, str] = {}
-    rows: list[tuple[float, ...]] = []
+    rows: list[tuple] = []
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     body = []
@@ -289,12 +289,12 @@ def read_curve_csv(path: str) -> tuple[DetectionCurve, dict[str, str]]:
         cells = ln.split(",")
         if len(cells) != 6:
             raise ValueError(f"{path}: malformed curve row {ln!r}")
-        rows.append(tuple(float(c) for c in cells))
+        rows.append((*(float(c) for c in cells[:4]), int(cells[4]), int(cells[5])))
     if not rows:
         raise ValueError(f"{path}: curve has no data rows")
     pfa_set = {r[3] for r in rows}
-    trial_set = {int(r[4]) for r in rows}
-    seed_set = {int(r[5]) for r in rows}
+    trial_set = {r[4] for r in rows}
+    seed_set = {r[5] for r in rows}
     if len(pfa_set) != 1 or len(trial_set) != 1 or len(seed_set) != 1:
         raise ValueError(f"{path}: pfa/trials/seed columns must be constant")
     curve = DetectionCurve(

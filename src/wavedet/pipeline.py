@@ -22,10 +22,11 @@ blocks realise exactly the rows a single whole-chunk draw would.
 
 The calling thread draws each block's integers from the chunk's substream,
 in order; ``Generator.integers`` holds the GIL, so it gains nothing from
-threads.  A pool of one worker per usable CPU does the rest of each block
-(inverse CDF, signal, pyramid), which releases the GIL, into the block's
-rows of the chunk.  At most one block per worker is in flight.  Once every
-block of a chunk has settled, the calling thread re-raises the first
+threads.  Each stream has its own workers, at most one per usable CPU,
+which do the rest of each block (inverse CDF, signal, pyramid; all release
+the GIL) into the block's rows of the chunk; the stream joins them before
+it returns or raises.  At most one block per worker is in flight.  Once
+every block of a chunk has settled, the calling thread re-raises the first
 worker error, or applies the statistic to the whole chunk, so the values
 do not depend on which thread transformed which block.
 """
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,32 +48,12 @@ from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid
 # samples per block of a Monte Carlo chunk: 2^17 float64 values are 1 MB
 BLOCK_SAMPLES = 2**17
 
-_pool: tuple[ThreadPoolExecutor, int] | None = None
-_pool_lock = threading.Lock()
 
-
-def _block_pool() -> tuple[ThreadPoolExecutor, int]:
-    """The block workers and their number, one per usable CPU, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            if hasattr(os, "sched_getaffinity"):
-                size = len(os.sched_getaffinity(0))
-            else:
-                size = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(size, thread_name_prefix="wavedet-block"), size
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the executor but none of its threads, so work
-    # submitted to it would never run; the child starts its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+def _worker_count() -> int:
+    """Block workers per stream: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def layout_for_scales(
@@ -167,44 +147,36 @@ class FeaturePipe:
         v = stat(np.empty((0, self.steady_dim), order="F"))
         out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
         rows = max(1, BLOCK_SAMPLES // self.length)
-        pool, size = _block_pool()
-        for c, start, stop in chunk_bounds(int(trials)):
-            rng = substream(seed, (*path, c))
-            # column-major like steady_batch's masked result, so that a
-            # statistic such as F @ a runs the same BLAS kernel and rounds the same
-            F = np.empty((stop - start, self.steady_dim), order="F")
-            blocks: list[Future] = []
-            try:
+        n = _worker_count()
+
+        def block(F_rows: np.ndarray, U: np.ndarray, lo: int) -> None:
+            X = normal_from_ints(U, model.sigma_n)
+            if add_signal is not None:
+                add_signal(X, lo, lo + X.shape[0])
+            F_rows[...] = self.steady_batch(X)
+
+        # leaving the with block waits for every submitted block, so a
+        # worker's error leaves the stream only once its chunk has settled
+        with ThreadPoolExecutor(n, thread_name_prefix="wavedet-block") as pool:
+            for c, start, stop in chunk_bounds(int(trials)):
+                rng = substream(seed, (*path, c))
+                # column-major like steady_batch's masked result, so that a
+                # statistic such as F @ a runs the same BLAS kernel and rounds the same
+                F = np.empty((stop - start, self.steady_dim), order="F")
+                blocks: list[Future] = []
                 for i in range(0, stop - start, rows):
                     U = normal_ints(rng, (min(rows, stop - start - i), self.length))
-                    # at most `size` blocks in flight; submit nothing after a failure
-                    if len(blocks) >= size and blocks[-size].exception() is not None:
-                        break
+                    # at most n blocks in flight; a failed block raises here
+                    if len(blocks) >= n:
+                        blocks[-n].result()
                     # each block runs in its own copy of the caller's context,
                     # so that count_ops and other context state reach it
-                    blocks.append(pool.submit(contextvars.copy_context().run, self._block,
-                                              F[i:i + U.shape[0]], U, model.sigma_n,
-                                              add_signal, start + i))
-            finally:
-                wait(blocks)
-            for b in blocks:
-                b.result()
-            out[start:stop] = stat(F)
+                    blocks.append(pool.submit(contextvars.copy_context().run, block,
+                                              F[i:i + U.shape[0]], U, start + i))
+                for b in blocks:
+                    b.result()
+                out[start:stop] = stat(F)
         return out
-
-    def _block(
-        self,
-        F: np.ndarray,
-        U: np.ndarray,
-        sigma: float,
-        add_signal: Callable[[np.ndarray, int, int], None] | None,
-        lo: int,
-    ) -> None:
-        """Steady features of the trials lo.. drawn as ``U``, written into their rows ``F``."""
-        X = normal_from_ints(U, sigma)
-        if add_signal is not None:
-            add_signal(X, lo, lo + X.shape[0])
-        F[...] = self.steady_batch(X)
 
     def noise_steady(
         self,

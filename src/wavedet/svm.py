@@ -69,14 +69,12 @@ class TrainingSet:
 
     X: np.ndarray              # (n, dim) patterns, one per row
     y: np.ndarray              # (n,) labels in {+1, -1}
-    snr_db_pos: np.ndarray     # SNR of each positive row, in row order
     layout: ScaleLayout
     snr_range: tuple[float, float]
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=np.float64).copy()
         y = np.asarray(self.y, dtype=np.int8).copy()
-        snr = np.asarray(self.snr_db_pos, dtype=np.float64).copy()
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError("X must be (n, dim) with one label per row")
         if X.shape[1] != self.layout.steady_length:
@@ -86,13 +84,10 @@ class TrainingSet:
         n_pos = int(np.sum(y == 1))
         if n_pos == 0 or n_pos == y.shape[0]:
             raise ValueError("both classes must be non-empty")
-        if snr.shape != (n_pos,):
-            raise ValueError("need exactly one SNR per positive pattern")
-        for arr in (X, y, snr):
+        for arr in (X, y):
             arr.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "snr_db_pos", snr)
 
     @property
     def n_patterns(self) -> int:
@@ -169,7 +164,6 @@ def build_training_set(
     return TrainingSet(
         X=X,
         y=y,
-        snr_db_pos=snrs,
         layout=pipe.layout,
         snr_range=(lo, hi),
     )

@@ -442,7 +442,7 @@ def test_c9_smo_against_qp_oracle():
         c_minus = float(g.choice([0.3, 1.0, 3.0]))
 
         ts = TrainingSet(
-            X=X, y=y, snr_db_pos=np.zeros(5), layout=layout, snr_range=(-15.0, 0.0),
+            X=X, y=y, layout=layout, snr_range=(-15.0, 0.0),
         )
         model = train(ts, c_plus, c_minus, kkt_tolerance=tol, max_passes=100_000)
         assert model.converged, f"case {case}: SMO hit the pass limit"

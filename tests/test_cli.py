@@ -161,3 +161,19 @@ def test_dwt_rejects_non_finite_samples(tmp_path, pulse_file):
     bad.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
     assert main(["dwt", "--in", str(bad), "--levels", "4",
                  "--out", str(tmp_path / "c.coef")]) == 2
+
+
+def test_curve_rejects_a_max_coeff_detector_with_a_nan_threshold(tmp_path, pulse_file, pipe34,
+                                                                   noise):
+    from wavedet import calibrate_max_coeff
+
+    det = tmp_path / "m.det"
+    io.write_detector(det, calibrate_max_coeff(pipe34, noise, 0.05, 2000, seed=1), "db5", 256)
+    header, sep, payload = det.read_bytes().partition(b"\n")
+    start = header.index(b"v_threshold=")
+    end = header.index(b";", start)
+    det.write_bytes(header[:start] + b"v_threshold=nan" + header[end:] + sep + payload)
+    with pytest.raises(ValueError, match="v_threshold"):
+        io.read_detector(det)
+    assert main(["curve", "--detector-file", str(det), "--pulse", str(pulse_file),
+                 "--trials", "500", "--seed", "5", "--out", str(tmp_path / "c.csv")]) == 2

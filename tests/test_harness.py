@@ -194,6 +194,15 @@ def _zero_last_baseline_pd(out):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _infinite_baseline_trials(out):
+    path = out / "baseline_d3.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[4] = "inf"
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("damage, named", [
     (lambda out: os.remove(out / "gaps.csv"), "gaps.csv"),
     (lambda out: os.remove(out / "svm_d3.det"), "svm_d3.det"),
@@ -201,7 +210,9 @@ def _zero_last_baseline_pd(out):
     (_zero_last_baseline_pd, "gaps.csv"),
     (lambda out: shutil.copy(out / "optimum_d4.det", out / "optimum_d3.det"),
      "optimum_d3.det: layout"),
-], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped"])
+    (_infinite_baseline_trials, "baseline_d3.csv"),
+], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped",
+        "baseline-trials-infinite"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run
     bad = tmp_path / "damaged"

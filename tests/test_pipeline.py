@@ -1,7 +1,6 @@
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -112,17 +111,16 @@ def test_streams_do_not_depend_on_the_worker_count(pipe34, pulse256, monkeypatch
                                   seed=8))
 
     want = streams()
-    with ThreadPoolExecutor(workers) as pool:
-        monkeypatch.setattr(pipeline, "_pool", (pool, workers))
-        got = streams()
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    got = streams()
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_workers(pipe34, noise):
-    # the child inherits the block pool but not its threads; a stream that
-    # submitted to it would wait forever
+    # a forked child inherits no thread of its parent; its streams must
+    # start workers of their own rather than wait on the parent's
     want = pipe34.noise_steady(noise, 2000, seed=3)
     pid = os.fork()
     if pid == 0:
@@ -168,6 +166,17 @@ def test_a_failing_block_stops_the_stream(pipe34, noise, monkeypatch):
     # block of the second chunk was started
     assert state["running"] == 0
     assert 3 <= state["calls"] <= CHUNK // (BLOCK_SAMPLES // 256)
+    assert not _block_workers()
+
+
+def _block_workers():
+    return [t.name for t in threading.enumerate() if t.name.startswith("wavedet-block")]
+
+
+def test_no_block_worker_outlives_its_stream(pipe34, noise):
+    # 2000 trials at length 256 are 4 blocks, enough to start up to 4 workers
+    pipe34.noise_steady(noise, 2000, seed=2)
+    assert not _block_workers()
 
 
 def test_obs_stream_scalar_and_vector_snr(pipe34, pulse256, noise):

@@ -30,7 +30,6 @@ def tiny_set(X, y, layout):
     return TrainingSet(
         X=np.asarray(X, dtype=float),
         y=np.asarray(y, dtype=float),
-        snr_db_pos=np.zeros(int(np.sum(np.asarray(y) > 0))),
         layout=layout,
         snr_range=(-15.0, 0.0),
     )
@@ -128,16 +127,12 @@ def test_training_set_structure(pulse256, db5, noise):
     assert ts.X.shape == (120, 28)
     np.testing.assert_array_equal(ts.y[:50], 1.0)
     np.testing.assert_array_equal(ts.y[50:], -1.0)
-    assert ts.snr_db_pos.shape == (50,)
-    assert ts.snr_db_pos.min() >= -12.0
-    assert ts.snr_db_pos.max() <= -2.0
     assert ts.snr_range == (-12.0, -2.0)
     # reproducible
     ts2 = build_training_set(
         pulse256, (3, 4), db5, noise, 50, 70, (-12.0, -2.0), seed=123
     )
     np.testing.assert_array_equal(ts.X, ts2.X)
-    np.testing.assert_array_equal(ts.snr_db_pos, ts2.snr_db_pos)
 
 
 def test_decision_matches_detector_statistic(pulse256, pipe34, db5, noise):
