@@ -179,6 +179,8 @@ class DetectionCurve:
             raise ValueError("pd values must lie in [0, 1]")
         if not all(math.isfinite(s) and math.isfinite(e) for s, _, e in pts):
             raise ValueError("snr_db and stderr values must be finite")
+        if self.trials_per_point < 0 or self.seed < 0:
+            raise ValueError("trials_per_point and seed must be non-negative")
         object.__setattr__(self, "points", pts)
 
     def snr_grid(self) -> np.ndarray:

@@ -221,9 +221,7 @@ class ExperimentReport:
     theory: dict[str, DetectionCurve]
     svm: dict[str, DetectionCurve]
     baseline: dict[str, DetectionCurve]
-    optimum_detectors: dict[str, LinearDetector] = field(repr=False)
     svm_detectors: dict[str, LinearDetector] = field(repr=False)
-    svm_models: dict[str, SvmModel] = field(repr=False)
     checks: tuple[CheckResult, ...] = ()
 
     @property
@@ -231,8 +229,18 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
+def _curve_plans(cfg: ExperimentConfig, bi: int) -> dict[str, tuple[int, int]]:
+    """(trials per point, seed) that each curve kind of scale set ``bi`` carries."""
+    return {
+        "theory": (0, cfg.seed),
+        "svm": (cfg.trials_per_point, derive_seed(cfg.seed, _P_SVMCURVE, bi)),
+        "baseline": (cfg.trials_per_point, derive_seed(cfg.seed, _P_BASECURVE, bi)),
+    }
+
+
 def _theory_curve(
-    pulse_details, det: LinearDetector, model: NoiseModel, grid, label: str, seed: int
+    pulse_details, det: LinearDetector, model: NoiseModel, grid, label: str,
+    trials: int, seed: int,
 ) -> DetectionCurve:
     points = []
     for snr in grid:
@@ -242,7 +250,7 @@ def _theory_curve(
         pfa=det.target_pfa,
         points=tuple(points),
         detector_id=f"theory-{label}",
-        trials_per_point=0,
+        trials_per_point=trials,
         seed=seed,
     )
 
@@ -260,19 +268,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     theory: dict[str, DetectionCurve] = {}
     svm_curves: dict[str, DetectionCurve] = {}
     base_curves: dict[str, DetectionCurve] = {}
-    opt_dets: dict[str, LinearDetector] = {}
     svm_dets: dict[str, LinearDetector] = {}
-    svm_models: dict[str, SvmModel] = {}
     checks: list[CheckResult] = []
 
     for bi, b in enumerate(cfg.scale_sets):
         label = labels[bi]
         pipe = FeaturePipe.for_scales(cfg.length, filters, b)
         pulse_details = pipe.details_of(pulse)
+        plans = _curve_plans(cfg, bi)
 
         det_opt = optimum_a(pulse_details, cfg.pfa, noise, detector_id=f"optimum-{label}")
-        opt_dets[label] = det_opt
-        theory[label] = _theory_curve(pulse_details, det_opt, noise, grid, label, cfg.seed)
+        theory[label] = _theory_curve(pulse_details, det_opt, noise, grid, label,
+                                      *plans["theory"])
 
         ts = build_training_set(
             pulse, b, filters, noise, cfg.n_pos, cfg.n_neg,
@@ -283,20 +290,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             derive_seed(cfg.seed, _P_TUNE, bi), pulse,
             kkt_tolerance=cfg.kkt_tolerance, max_passes=cfg.max_passes,
         )
-        svm_models[label], svm_dets[label] = model, det_svm
-        svm_curves[label] = sweep_curve(
-            det_svm, pulse, grid, noise, cfg.trials_per_point,
-            derive_seed(cfg.seed, _P_SVMCURVE, bi), pipe,
-        )
+        svm_dets[label] = det_svm
+        svm_curves[label] = sweep_curve(det_svm, pulse, grid, noise, *plans["svm"], pipe)
 
         det_base = calibrate_max_coeff(
             pipe, noise, cfg.pfa, cfg.cal_trials,
             derive_seed(cfg.seed, _P_BASECAL, bi), detector_id=f"baseline-{label}",
         )
-        base_curves[label] = sweep_curve(
-            det_base, pulse, grid, noise, cfg.trials_per_point,
-            derive_seed(cfg.seed, _P_BASECURVE, bi), pipe,
-        )
+        base_curves[label] = sweep_curve(det_base, pulse, grid, noise, *plans["baseline"], pipe)
 
         checks.append(
             _check_decision_equivalence(model, det_svm, pulse, pipe, noise, cfg, bi, label)
@@ -334,8 +335,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     checks.extend(_structural_checks(labels, cfg.scale_sets, theory, svm_curves))
     report = ExperimentReport(
         config=cfg, config_hash=chash, labels=labels, theory=theory, svm=svm_curves,
-        baseline=base_curves, optimum_detectors=opt_dets, svm_detectors=svm_dets,
-        svm_models=svm_models, checks=tuple(checks),
+        baseline=base_curves, svm_detectors=svm_dets, checks=tuple(checks),
     )
 
     _atomic_write(os.path.join(out_dir, "gaps.csv"),
@@ -492,7 +492,8 @@ def _write_checks(path: str, report: ExperimentReport) -> None:
 def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     """Re-verify a finished output directory from its stored artifacts.
 
-    Every curve must carry the config's hash and root seed and pass the
+    Every curve must carry the config's hash and root seed, the trials per
+    point and seed that run_experiment gives its kind, and pass the
     dominance and ceiling checks that run_experiment applies; gaps.csv must
     equal, byte for byte, the table re-derived from those curves; every
     detector file must match the config's family, signal length, Pfa and
@@ -515,7 +516,8 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     chash = config_hash(cfg)
     labels = tuple(_set_label(b) for b in cfg.scale_sets)
     curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
-    for label in labels:
+    for bi, label in enumerate(labels):
+        plans = _curve_plans(cfg, bi)
         for kind, by_label in curves.items():
             path = os.path.join(out_dir, f"{kind}_{label}.csv")
             try:
@@ -527,6 +529,9 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                 fail(f"{path}: config_hash {prov.get('config_hash')} != {chash}")
             if prov.get("root_seed") != str(cfg.seed):
                 fail(f"{path}: root_seed mismatch")
+            if (curve.trials_per_point, curve.seed) != plans[kind]:
+                fail(f"{path}: (trials, seed) ({curve.trials_per_point}, {curve.seed}) "
+                     f"!= {plans[kind]}")
             by_label[label] = curve
     if ok:
         for c in _structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]):

@@ -5,12 +5,14 @@ The dual problem
     maximise   sum_i alpha_i - 1/2 sum_ij alpha_i y_i alpha_j y_j <x_i, x_j>
     subject to 0 <= alpha_i <= C(y_i),   sum_i alpha_i y_i = 0
 
-is solved by sequential minimal optimisation: each step picks the pair of
-indices with the largest Karush-Kuhn-Tucker violation (maximal F_i over
-the set that can move up against minimal F_j over the set that can move
-down, F_i = y_i - sum_k alpha_k y_k K_ik) and solves the two-variable
-subproblem in closed form.  Per-class box bounds C+ / C- implement the
-asymmetric penalty used to price false positives above misses.
+is solved by sequential minimal optimisation in beta = alpha * y, which
+lies in [0, C+] for a positive pattern and in [-C-, 0] for a negative one.
+Each step picks the pair with the largest Karush-Kuhn-Tucker violation:
+maximal F_i over I_up = {beta < ub} against minimal F_j over
+I_low = {beta > lb}, F_i = y_i - sum_k beta_k K_ik, and solves the
+two-variable subproblem beta_i += t, beta_j -= t in closed form.
+Per-class box bounds C+ / C- implement the asymmetric penalty used to
+price false positives above misses.
 
 The trained bias is never deployed directly: deployment replaces it with a
 Monte Carlo threshold hitting the requested false-alarm probability, since
@@ -51,7 +53,7 @@ __all__ = [
 # substream purposes within a training-set seed
 _PATH_SNR, _PATH_POS, _PATH_NEG = 0, 1, 2
 
-_BOUND_SNAP = 1e-12  # relative snap of alphas onto their box bounds
+_BOUND_SNAP = 1e-12  # relative snap of beta onto 0 and its box bound
 
 # tune_c_for_pfa: admissible realized Pfa lies within this factor of the
 # target, and validation Pd is estimated from this many trials per SNR
@@ -105,7 +107,6 @@ class SvmModel:
     c_plus: float
     c_minus: float
     kkt_tolerance: float
-    support_count: int
     converged: bool
     n_passes: int
     objective_history: tuple[float, ...]
@@ -134,6 +135,10 @@ class SvmModel:
     @property
     def dual_objective(self) -> float:
         return self.objective_history[-1]
+
+    @property
+    def support_count(self) -> int:
+        return int(np.count_nonzero(self.alphas > 0))
 
 
 def build_training_set(
@@ -169,15 +174,6 @@ def build_training_set(
     )
 
 
-def _kkt_sets(alphas: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index masks that may move up (I_up) / down (I_low) in beta = alpha*y."""
-    pos, neg = y == 1, y == -1
-    at_zero, at_box = alphas <= 0.0, alphas >= box
-    i_up = (pos & ~at_box) | (neg & ~at_zero)
-    i_low = (pos & ~at_zero) | (neg & ~at_box)
-    return i_up, i_low
-
-
 def _check_smo_args(c_plus: float, c_minus: float, kkt_tolerance: float, max_passes: int) -> None:
     """Reject box bounds, tolerance or pass budget that train cannot use."""
     for name, v in (("c_plus", c_plus), ("c_minus", c_minus), ("kkt_tolerance", kkt_tolerance)):
@@ -194,23 +190,29 @@ def train(
     kkt_tolerance: float = 1e-3,
     max_passes: int = 10_000,
 ) -> SvmModel:
-    """Maximal-violating-pair SMO on the precomputed Gram matrix.
+    """Maximal-violating-pair SMO in beta = alpha * y on the Gram matrix.
 
-    One pass is up to n two-variable updates; after each pass the margin
+    Each step moves beta_i up and beta_j down by the same t, clipped to
+    min(ub_i - beta_i, beta_j - lb_j), then snaps both onto 0 or their
+    bound when within a relative 1e-12 of it, so that the index sets stay
+    exact.  One pass is up to n such steps; after each pass the margin
     cache is recomputed from scratch (drift control) and the exact dual
     objective is appended to the history.  Convergence is declared when the
     largest violation m - M falls to ``kkt_tolerance`` or below; if the
     pass budget runs out first the model is returned with
-    ``converged=False``.
+    ``converged=False``.  The model's alphas are |beta|.
     """
     _check_smo_args(c_plus, c_minus, kkt_tolerance, max_passes)
     X = ts.X
     y = ts.y.astype(np.float64)
     n = ts.n_patterns
-    box = np.where(ts.y == 1, float(c_plus), float(c_minus))
+    pos = ts.y == 1
+    box = np.where(pos, float(c_plus), float(c_minus))
+    ub = np.where(pos, box, 0.0)
+    lb = np.where(pos, 0.0, -box)
     K = X @ X.T
-    alphas = np.zeros(n)
-    f = np.zeros(n)  # f_i = sum_k alpha_k y_k K_ik, maintained incrementally
+    beta = np.zeros(n)
+    f = np.zeros(n)  # f_i = sum_k beta_k K_ik, maintained incrementally
     history: list[float] = []
     converged = False
     n_passes = 0
@@ -219,65 +221,45 @@ def train(
         n_passes = _pass + 1
         for _step in range(n):
             F = y - f
-            i_up, i_low = _kkt_sets(alphas, ts.y, box)
-            up_idx = np.flatnonzero(i_up)
-            low_idx = np.flatnonzero(i_low)
-            i = up_idx[np.argmax(F[up_idx])]
-            j = low_idx[np.argmin(F[low_idx])]
+            i = int(np.argmax(np.where(beta < ub, F, -np.inf)))
+            j = int(np.argmin(np.where(beta > lb, F, np.inf)))
             m, m_low = float(F[i]), float(F[j])
             if m - m_low <= kkt_tolerance:
                 converged = True
                 break
-            # feasible step range for beta_i += t, beta_j -= t
-            if ts.y[i] == 1:
-                t_hi_i = box[i] - alphas[i]
-            else:
-                t_hi_i = alphas[i]
-            if ts.y[j] == 1:
-                t_hi_j = alphas[j]
-            else:
-                t_hi_j = box[j] - alphas[j]
-            t_hi = min(float(t_hi_i), float(t_hi_j))
+            t_hi = min(float(ub[i] - beta[i]), float(beta[j] - lb[j]))
             eta = float(K[i, i] + K[j, j] - 2.0 * K[i, j])
             if eta > 0.0:
                 t = min((m - m_low) / eta, t_hi)
             else:
                 t = t_hi  # identical patterns: objective is linear in t
-            alphas[i] += y[i] * t
-            alphas[j] -= y[j] * t
-            _snap_to_box(alphas, box, i)
-            _snap_to_box(alphas, box, j)
+            beta[i] += t
+            beta[j] -= t
+            for k in (i, j):
+                # keep bound membership exact so the KKT index sets stay crisp
+                if abs(beta[k]) < _BOUND_SNAP * box[k]:
+                    beta[k] = 0.0
+                elif abs(beta[k]) > box[k] * (1.0 - _BOUND_SNAP):
+                    beta[k] = ub[k] if pos[k] else lb[k]
             f += t * (K[i] - K[j])  # rows, not strided columns: K is symmetric
         # exact refresh closes any incremental drift
-        f = K @ (alphas * y)
-        objective = float(np.sum(alphas) - 0.5 * (alphas * y) @ f)
-        history.append(objective)
+        f = K @ beta
+        history.append(float(np.sum(np.abs(beta)) - 0.5 * beta @ f))
         if converged:
             break
-    w = X.T @ (alphas * y)
-    b = 0.5 * (m + m_low)
     return SvmModel(
-        alphas=alphas,
+        alphas=np.abs(beta),
         y=ts.y,
-        w=w,
-        b=float(b),
+        w=X.T @ beta,
+        b=0.5 * (m + m_low),
         c_plus=float(c_plus),
         c_minus=float(c_minus),
         kkt_tolerance=float(kkt_tolerance),
-        support_count=int(np.count_nonzero(alphas > 0)),
         converged=converged,
         n_passes=n_passes,
         objective_history=tuple(history),
         layout=ts.layout,
     )
-
-
-def _snap_to_box(alphas: np.ndarray, box: np.ndarray, k: int) -> None:
-    # keep bound membership exact so the KKT index sets stay crisp
-    if alphas[k] < _BOUND_SNAP * box[k]:
-        alphas[k] = 0.0
-    elif alphas[k] > box[k] * (1.0 - _BOUND_SNAP):
-        alphas[k] = box[k]
 
 
 def decision(model: SvmModel, d: DetailCoefficients) -> float:

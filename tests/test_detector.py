@@ -186,6 +186,12 @@ def test_detection_curve_validation():
             DetectionCurve(
                 pfa=0.01, points=(point,), detector_id="x", trials_per_point=10, seed=0,
             )
+    for trials, seed in ((-1, 0), (10, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            DetectionCurve(
+                pfa=0.01, points=((0.0, 0.5, 0.0),), detector_id="x",
+                trials_per_point=trials, seed=seed,
+            )
 
 
 def test_linear_detector_validation(pipe34, noise):

@@ -194,13 +194,18 @@ def _zero_last_baseline_pd(out):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _infinite_baseline_trials(out):
-    path = out / "baseline_d3.csv"
-    lines = path.read_text().splitlines()
-    cells = lines[-1].split(",")
-    cells[4] = "inf"
-    lines[-1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+def _set_curve_column(name, col, value):
+    """Damage that sets every data cell of one column of a curve file."""
+    def damage(out):
+        path = out / name
+        lines = path.read_text().splitlines()
+        start = lines.index("snr_db,pd,stderr,pfa,trials,seed") + 1
+        for k in range(start, len(lines)):
+            cells = lines[k].split(",")
+            cells[col] = value
+            lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return damage
 
 
 @pytest.mark.parametrize("damage, named", [
@@ -210,9 +215,14 @@ def _infinite_baseline_trials(out):
     (_zero_last_baseline_pd, "gaps.csv"),
     (lambda out: shutil.copy(out / "optimum_d4.det", out / "optimum_d3.det"),
      "optimum_d3.det: layout"),
-    (_infinite_baseline_trials, "baseline_d3.csv"),
+    (_set_curve_column("baseline_d3.csv", 4, "inf"), "baseline_d3.csv"),
+    # well-formed curves whose trials or seed column is not the config's
+    (_set_curve_column("baseline_d3.csv", 4, "7"), "baseline_d3.csv"),
+    (_set_curve_column("svm_d3.csv", 5, "99"), "svm_d3.csv"),
+    (_set_curve_column("theory_d3.csv", 4, "-5"), "theory_d3.csv"),
 ], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped",
-        "baseline-trials-infinite"])
+        "baseline-trials-infinite", "baseline-trials-changed", "svm-seed-changed",
+        "theory-trials-negative"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run
     bad = tmp_path / "damaged"

@@ -24,6 +24,7 @@ from wavedet import (
 from oracles import kkt_violation
 from wavedet import svm as svm_module
 from wavedet.svm import TrainingSet, SvmModel
+from wavedet.wavelet import ScaleLayout
 
 
 def tiny_set(X, y, layout):
@@ -76,6 +77,37 @@ def test_two_points_hit_the_box(pipe34):
     assert abs(model.b) < 1e-12
 
 
+def test_identical_patterns_take_the_whole_step(pipe34):
+    # one pattern labelled both ways: eta = 0, so the objective is linear in
+    # the step and t goes to the bound C+ = 0.5; then F_i = F_j = -1 closes
+    # the violation, giving b = -1 and w = 0.5 x - 0.5 x = 0
+    dim = pipe34.layout.steady_length
+    X = np.zeros((2, dim))
+    X[:, 0], X[:, 3] = 0.7, -1.3
+    ts = tiny_set(X, [1.0, -1.0], pipe34.layout)
+    model = train(ts, 0.5, 2.0, kkt_tolerance=1e-10)
+    assert model.converged and model.n_passes == 1
+    np.testing.assert_array_equal(model.alphas, [0.5, 0.5])
+    np.testing.assert_array_equal(model.w, 0.0)
+    assert model.b == -1.0
+    assert model.support_count == 2
+
+
+def test_a_rounding_residue_snaps_onto_its_bound():
+    # three patterns in R^3, one positive, C = 3: a free step moves beta_0 and
+    # beta_1 by 0.654..., a clipped step takes beta_0 to 3 and beta_2 to
+    # -(3 - 0.654...), and the last step moves beta_1 up to 0 against beta_2
+    # down to -3.  The two step limits differ in their last bits, so beta_1
+    # lands 2.2e-16 from 0 unless it is snapped onto the bound.
+    layout = ScaleLayout(scales=(1,), seg_lengths=(8,), steady_starts=(5,))
+    X = [[-0.07, 1.25, -0.61], [-0.42, 1.98, 0.94], [-0.3, 0.8, -0.09]]
+    ts = tiny_set(X, [1.0, -1.0, -1.0], layout)
+    model = train(ts, 3.0, 3.0, kkt_tolerance=1e-8)
+    assert model.converged
+    np.testing.assert_array_equal(model.alphas, [3.0, 0.0, 3.0])
+    assert model.support_count == 2
+
+
 def test_asymmetric_box_respected(pipe34):
     dim = pipe34.layout.steady_length
     g = np.random.default_rng(2)
@@ -90,6 +122,12 @@ def test_asymmetric_box_respected(pipe34):
     assert np.all(model.alphas >= -1e-12)
     assert abs(np.dot(model.alphas, y)) <= 1e-6 + 1e-12
     assert model.c_plus == 0.3 and model.c_minus == 2.0
+    # bound membership is exact: each alpha sits on 0 or C, or clearly inside
+    a, box = model.alphas, np.where(y > 0, 0.3, 2.0)
+    inside = (a >= 1e-12 * box) & (a <= box * (1.0 - 1e-12))
+    assert np.all((a == 0.0) | (a == box) | inside)
+    assert 0 < np.count_nonzero(inside) < 30
+    assert not np.any(np.signbit(a))
 
 
 def test_objective_history_is_monotone(pipe34):
@@ -207,7 +245,6 @@ def test_model_validation(pipe34):
             c_plus=1.0,
             c_minus=1.0,
             kkt_tolerance=1e-3,
-            support_count=2,
             converged=True,
             n_passes=1,
             objective_history=(1.0,),
