@@ -10,7 +10,11 @@ lies in [0, C+] for a positive pattern and in [-C-, 0] for a negative one.
 Each step picks the pair with the largest Karush-Kuhn-Tucker violation:
 maximal F_i over I_up = {beta < ub} against minimal F_j over
 I_low = {beta > lb}, F_i = y_i - sum_k beta_k K_ik, and solves the
-two-variable subproblem beta_i += t, beta_j -= t in closed form.
+two-variable subproblem beta_i += t, beta_j -= t in closed form.  The
+index sets are kept as two penalty arrays (0 inside the set, -inf or
++inf outside) that each step updates at i and j, so a step allocates no
+array; the Gram matrix K_ik = <x_i, x_k> is built once per training set
+and shared by every C grid point of the tuner.
 Per-class box bounds C+ / C- implement the asymmetric penalty used to
 price false positives above misses.
 
@@ -61,6 +65,14 @@ _PFA_SLACK = 2.0
 _VAL_TRIALS = 500
 
 
+def _snr_range(snr_range: tuple[float, float]) -> tuple[float, float]:
+    """``snr_range`` as floats, rejected unless finite with lo <= hi."""
+    lo, hi = float(snr_range[0]), float(snr_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"snr_range must be finite with lo <= hi, got {snr_range}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """Labelled steady-range detail patterns: +1 pulse+noise, -1 noise.
@@ -81,6 +93,8 @@ class TrainingSet:
             raise ValueError("X must be (n, dim) with one label per row")
         if X.shape[1] != self.layout.steady_length:
             raise ValueError("pattern dimension does not match the layout's steady length")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("patterns must be finite")
         if not set(np.unique(y)) <= {-1, 1}:
             raise ValueError("labels must be +1 or -1")
         n_pos = int(np.sum(y == 1))
@@ -90,6 +104,7 @@ class TrainingSet:
             arr.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "snr_range", _snr_range(self.snr_range))
 
     @property
     def n_patterns(self) -> int:
@@ -155,9 +170,7 @@ def build_training_set(
     ``snr_range`` and n_neg pure-noise realisations, positives first."""
     if n_pos < 1 or n_neg < 1:
         raise ValueError("both classes need at least one pattern")
-    lo, hi = float(snr_range[0]), float(snr_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"snr_range must be finite with lo <= hi, got {snr_range}")
+    lo, hi = _snr_range(snr_range)
     if pulse.hypothesis is not Hypothesis.TEMPLATE:
         raise ValueError("build_training_set requires a pulse template")
     pipe = FeaturePipe.for_scales(pulse.length, filters, scales)
@@ -189,6 +202,7 @@ def train(
     c_minus: float,
     kkt_tolerance: float = 1e-3,
     max_passes: int = 10_000,
+    gram: np.ndarray | None = None,
 ) -> SvmModel:
     """Maximal-violating-pair SMO in beta = alpha * y on the Gram matrix.
 
@@ -201,17 +215,33 @@ def train(
     largest violation m - M falls to ``kkt_tolerance`` or below; if the
     pass budget runs out first the model is returned with
     ``converged=False``.  The model's alphas are |beta|.
+
+    ``gram`` is ``ts.X @ ts.X.T``, passed by a caller that trains several
+    times on one set (``tune_c_for_pfa``); when None, train builds it.
+    A step allocates no array: the pair is the argmax of F + up_pen and
+    the argmin of F + low_pen, where up_pen is 0 on I_up and -inf
+    elsewhere, low_pen is 0 on I_low and +inf elsewhere, and both change
+    at i and j only.
     """
     _check_smo_args(c_plus, c_minus, kkt_tolerance, max_passes)
     X = ts.X
-    y = ts.y.astype(np.float64)
     n = ts.n_patterns
+    if gram is not None and gram.shape != (n, n):
+        raise ValueError(f"gram must be ({n}, {n}) for this training set, got {gram.shape}")
+    K = X @ X.T if gram is None else gram
+    y = ts.y.astype(np.float64)
     pos = ts.y == 1
-    box = np.where(pos, float(c_plus), float(c_minus))
-    ub = np.where(pos, box, 0.0)
-    lb = np.where(pos, 0.0, -box)
-    K = X @ X.T
+    box_a = np.where(pos, float(c_plus), float(c_minus))
+    # Python-float copies for the per-step scalar arithmetic
+    box = box_a.tolist()
+    ub = np.where(pos, box_a, 0.0).tolist()
+    lb = np.where(pos, 0.0, -box_a).tolist()
+    diag = K.diagonal().tolist()
     beta = np.zeros(n)
+    up_pen = np.where(pos, 0.0, -np.inf)  # beta = 0 lies below ub only if positive
+    low_pen = np.where(pos, np.inf, 0.0)
+    F = np.empty(n)
+    buf = np.empty(n)
     f = np.zeros(n)  # f_i = sum_k beta_k K_ik, maintained incrementally
     history: list[float] = []
     converged = False
@@ -220,28 +250,31 @@ def train(
     for _pass in range(int(max_passes)):
         n_passes = _pass + 1
         for _step in range(n):
-            F = y - f
-            i = int(np.argmax(np.where(beta < ub, F, -np.inf)))
-            j = int(np.argmin(np.where(beta > lb, F, np.inf)))
-            m, m_low = float(F[i]), float(F[j])
+            np.subtract(y, f, out=F)
+            # F + 0.0 == F inside a set and -inf / +inf outside it
+            i = int(np.add(F, up_pen, out=buf).argmax())
+            j = int(np.add(F, low_pen, out=buf).argmin())
+            m, m_low = F.item(i), F.item(j)
             if m - m_low <= kkt_tolerance:
                 converged = True
                 break
-            t_hi = min(float(ub[i] - beta[i]), float(beta[j] - lb[j]))
-            eta = float(K[i, i] + K[j, j] - 2.0 * K[i, j])
+            t_hi = min(ub[i] - beta.item(i), beta.item(j) - lb[j])
+            eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
             if eta > 0.0:
                 t = min((m - m_low) / eta, t_hi)
             else:
                 t = t_hi  # identical patterns: objective is linear in t
-            beta[i] += t
-            beta[j] -= t
-            for k in (i, j):
+            for k, bk in ((i, beta.item(i) + t), (j, beta.item(j) - t)):
                 # keep bound membership exact so the KKT index sets stay crisp
-                if abs(beta[k]) < _BOUND_SNAP * box[k]:
-                    beta[k] = 0.0
-                elif abs(beta[k]) > box[k] * (1.0 - _BOUND_SNAP):
-                    beta[k] = ub[k] if pos[k] else lb[k]
-            f += t * (K[i] - K[j])  # rows, not strided columns: K is symmetric
+                if abs(bk) < _BOUND_SNAP * box[k]:
+                    bk = 0.0
+                elif abs(bk) > box[k] * (1.0 - _BOUND_SNAP):
+                    bk = ub[k] if bk > 0.0 else lb[k]
+                beta[k] = bk
+                up_pen[k] = 0.0 if bk < ub[k] else -np.inf
+                low_pen[k] = 0.0 if bk > lb[k] else np.inf
+            # rows, not strided columns: K is symmetric
+            f += np.multiply(np.subtract(K[i], K[j], out=buf), t, out=buf)
         # exact refresh closes any incremental drift
         f = K @ beta
         history.append(float(np.sum(np.abs(beta)) - 0.5 * beta @ f))
@@ -329,9 +362,12 @@ def tune_c_for_pfa(
     _require_layout("pipe", pipe.layout, ts.layout)
     lo, hi = ts.snr_range
     val_grid = np.arange(lo, hi + 1e-9, 1.0)
+    gram = ts.X @ ts.X.T  # shared by every grid point, freed on return
     best: tuple[float, SvmModel, LinearDetector] | None = None
     for gi, (cp, cm) in enumerate(grid):
-        svm_model = train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes)
+        svm_model = train(
+            ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, gram=gram
+        )
         det = calibrate_bias(
             svm_model, noise, pipe, target_pfa, validation_noise_trials,
             derive_seed(seed, gi, 0),

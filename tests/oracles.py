@@ -58,3 +58,55 @@ def kkt_violation(model, X):
     i_up = np.where(pos, ~at_box, ~at_zero)
     i_low = np.where(pos, ~at_zero, ~at_box)
     return float(np.max(F[i_up]) - np.min(F[i_low]))
+
+
+def reference_smo(X, y, c_plus, c_minus, kkt_tolerance, max_passes):
+    """The SMO loop as it stood before its steps stopped allocating.
+
+    Frozen as written then: K is built per fit, the index sets are fresh
+    ``np.where`` masks each step and the margin update forms
+    ``t * (K[i] - K[j])`` as temporaries.  ``wavedet.svm.train`` must give
+    the same bytes.  Returns (beta, b, converged, n_passes, history).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    pos = y == 1
+    box = np.where(pos, float(c_plus), float(c_minus))
+    ub = np.where(pos, box, 0.0)
+    lb = np.where(pos, 0.0, -box)
+    K = X @ X.T
+    beta = np.zeros(n)
+    f = np.zeros(n)
+    history = []
+    converged = False
+    n_passes = 0
+    m = m_low = 0.0
+    for _pass in range(int(max_passes)):
+        n_passes = _pass + 1
+        for _step in range(n):
+            F = y - f
+            i = int(np.argmax(np.where(beta < ub, F, -np.inf)))
+            j = int(np.argmin(np.where(beta > lb, F, np.inf)))
+            m, m_low = float(F[i]), float(F[j])
+            if m - m_low <= kkt_tolerance:
+                converged = True
+                break
+            t_hi = min(float(ub[i] - beta[i]), float(beta[j] - lb[j]))
+            eta = float(K[i, i] + K[j, j] - 2.0 * K[i, j])
+            if eta > 0.0:
+                t = min((m - m_low) / eta, t_hi)
+            else:
+                t = t_hi
+            beta[i] += t
+            beta[j] -= t
+            for k in (i, j):
+                if abs(beta[k]) < 1e-12 * box[k]:
+                    beta[k] = 0.0
+                elif abs(beta[k]) > box[k] * (1.0 - 1e-12):
+                    beta[k] = ub[k] if pos[k] else lb[k]
+            f += t * (K[i] - K[j])
+        f = K @ beta
+        history.append(float(np.sum(np.abs(beta)) - 0.5 * beta @ f))
+        if converged:
+            break
+    return beta, 0.5 * (m + m_low), converged, n_passes, tuple(history)

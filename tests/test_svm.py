@@ -21,7 +21,7 @@ from wavedet import (
     train,
     tune_c_for_pfa,
 )
-from oracles import kkt_violation
+from oracles import kkt_violation, reference_smo
 from wavedet import svm as svm_module
 from wavedet.svm import TrainingSet, SvmModel
 from wavedet.wavelet import ScaleLayout
@@ -233,6 +233,9 @@ def test_train_input_validation(pipe34):
         train(ts, 1.0, 1.0, max_passes=0)
     with pytest.raises(ValueError):
         tiny_set(X, [1.0, 1.0], pipe34.layout)  # one class only
+    for shape in ((2, 3), (3, 3), (4,)):
+        with pytest.raises(ValueError, match="gram"):
+            train(ts, 1.0, 1.0, gram=np.zeros(shape))
 
 
 def test_model_validation(pipe34):
@@ -252,7 +255,105 @@ def test_model_validation(pipe34):
         )
 
 
-@pytest.mark.parametrize("snr_range", [(-5.0, np.inf), (-np.inf, 0.0)])
+@pytest.mark.parametrize("snr_range", [(-5.0, np.inf), (-np.inf, 0.0), (np.nan, 0.0)])
 def test_build_training_set_rejects_a_non_finite_snr_range(pulse256, db5, noise, snr_range):
     with pytest.raises(ValueError, match="snr_range"):
         build_training_set(pulse256, (3, 4), db5, noise, 20, 20, snr_range, seed=3)
+
+
+def test_build_training_set_rejects_a_reversed_snr_range_before_drawing(
+    monkeypatch, pulse256, db5, noise
+):
+    draws = []
+    monkeypatch.setattr(svm_module, "substream", lambda *a: draws.append(a))
+    with pytest.raises(ValueError, match="snr_range"):
+        build_training_set(pulse256, (3, 4), db5, noise, 20, 20, (0.0, -6.0), seed=3)
+    assert draws == []
+
+
+@pytest.mark.parametrize("bad", ["nan-pattern", "inf-pattern", "reversed-snr", "nan-snr"])
+def test_training_set_rejects_non_finite_patterns_and_a_bad_snr_range(pipe34, bad):
+    X = np.ones((2, pipe34.layout.steady_length))
+    snr_range = (-6.0, 0.0)
+    if bad == "nan-pattern":
+        X[1, 3] = np.nan
+    elif bad == "inf-pattern":
+        X[0, 0] = -np.inf
+    elif bad == "reversed-snr":
+        snr_range = (0.0, -6.0)
+    else:
+        snr_range = (np.nan, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        TrainingSet(X=X, y=[1, -1], layout=pipe34.layout, snr_range=snr_range)
+
+
+def _reference_case(name, pipe34, pulse256, db5, noise):
+    """(training set, c_plus, c_minus, kkt_tolerance, max_passes) for one case."""
+    g = np.random.default_rng(sum(map(ord, name)))
+    tiny = ScaleLayout(scales=(1,), seg_lengths=(8,), steady_starts=(5,))  # 3 features
+    if name.startswith("random"):
+        n, layout = (60, tiny) if name == "random-small" else (300, pipe34.layout)
+        X = g.standard_normal((n, layout.steady_length))
+        y = np.where(X[:, 0] + g.standard_normal(n) > 0, 1.0, -1.0)
+        return tiny_set(X, y, layout), 1.0, 1.0, 1e-8, 10_000
+    if name == "c-plus-ne-c-minus":
+        ts = build_training_set(pulse256, (3, 4), db5, noise, 100, 100, (-12.0, 0.0), seed=3)
+        return ts, 0.3, 10.0, 1e-4, 10_000
+    if name == "eta-not-positive":
+        X = np.zeros((4, pipe34.layout.steady_length))
+        X[:, 0] = [0.7, 0.7, -0.4, 0.9]
+        X[:2, 3] = -1.3
+        return tiny_set(X, [1.0, -1.0, -1.0, 1.0], pipe34.layout), 0.5, 2.0, 1e-10, 10_000
+    if name == "snapped-residue":
+        X = [[-0.07, 1.25, -0.61], [-0.42, 1.98, 0.94], [-0.3, 0.8, -0.09]]
+        return tiny_set(X, [1.0, -1.0, -1.0], tiny), 3.0, 3.0, 1e-8, 10_000
+    # pass-limit: a hard problem stopped after two passes
+    X = g.standard_normal((120, pipe34.layout.steady_length))
+    y = np.where(g.standard_normal(120) > 0, 1.0, -1.0)
+    return tiny_set(X, y, pipe34.layout), 10.0, 100.0, 1e-12, 2
+
+
+@pytest.mark.parametrize("case", [
+    "random-small", "random-large", "c-plus-ne-c-minus", "eta-not-positive",
+    "snapped-residue", "pass-limit",
+])
+def test_train_matches_the_frozen_reference_loop(case, pipe34, pulse256, db5, noise):
+    # the allocation-free step must take the reference's arithmetic step for
+    # step, so every output is byte-identical with or without a shared gram
+    ts, c_plus, c_minus, tol, max_passes = _reference_case(case, pipe34, pulse256, db5, noise)
+    beta, b, converged, n_passes, history = reference_smo(
+        ts.X, ts.y, c_plus, c_minus, tol, max_passes
+    )
+    for gram in (None, ts.X @ ts.X.T):
+        m = train(ts, c_plus, c_minus, tol, max_passes, gram=gram)
+        assert m.alphas.tobytes() == np.abs(beta).tobytes()
+        assert m.w.tobytes() == (ts.X.T @ beta).tobytes()
+        assert np.float64(m.b).tobytes() == np.float64(b).tobytes()
+        assert (m.converged, m.n_passes) == (converged, n_passes)
+        assert np.asarray(m.objective_history).tobytes() == np.asarray(history).tobytes()
+    if case == "pass-limit":
+        assert not converged and n_passes == 2
+    else:
+        assert converged
+    if case == "snapped-residue":
+        np.testing.assert_array_equal(m.alphas, [3.0, 0.0, 3.0])
+    if case == "c-plus-ne-c-minus":
+        assert np.any(m.alphas == 0.3)  # some positive multiplier sits on its box
+
+
+def test_tune_c_shares_one_gram_matrix_across_grid_points(
+    monkeypatch, pulse256, pipe34, db5, noise
+):
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
+    grams, real_train = [], svm_module.train
+
+    def spy(*args, **kwargs):
+        grams.append(kwargs.get("gram"))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(svm_module, "train", spy)
+    grid = ((0.5, 5.0), (1.0, 10.0), (2.0, 20.0))
+    tune_c_for_pfa(ts, noise, pipe34, 0.05, grid, 4000, 8, pulse256)
+    assert len(grams) == len(grid)
+    assert grams[0] is not None and all(g is grams[0] for g in grams)
+    np.testing.assert_array_equal(grams[0], ts.X @ ts.X.T)
