@@ -41,10 +41,7 @@ __all__ = ["main"]
 
 
 def _parse_scales(text: str) -> tuple[int, ...]:
-    scales = tuple(int(s) for s in text.split(",") if s.strip())
-    if not scales:
-        raise ValueError(f"no scales in {text!r}")
-    return scales
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 def _load_pulse(path: str):
@@ -92,14 +89,13 @@ def _cmd_dwt(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     weights, family, signal_length = io.read_coeffs(args.a_file)
     model = NoiseModel(sigma_n=args.sigma)
-    filters = parse_family(family)
     if args.method == "analytic":
         vt = threshold_for_pfa_analytic(weights.values, weights.layout, model, args.pfa)
         cal = Calibration("analytic")
     else:
         if args.seed is None:
             raise ValueError("--seed is required for --method mc")
-        pipe = FeaturePipe(signal_length, filters, weights.layout)
+        pipe = FeaturePipe(parse_family(family), weights.layout)
         vt = threshold_for_pfa_mc(
             weights.values, pipe, model, args.pfa, args.trials, args.seed
         )
@@ -122,8 +118,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             f"pulse length {pulse.length} does not match detector signal length {signal_length}"
         )
     model = NoiseModel(sigma_n=args.sigma)
-    filters = parse_family(family)
-    pipe = FeaturePipe(signal_length, filters, det.layout)
+    pipe = FeaturePipe(parse_family(family), det.layout)
     grid = snr_grid(args.snr_min, args.snr_max, args.snr_step)
     curve = sweep_curve(det, pulse, grid, model, args.trials, args.seed, pipe)
     io.write_curve_csv(args.out, curve, {
@@ -159,7 +154,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not svm.converged:
         print("warning: SMO hit the pass limit before reaching the KKT tolerance",
               file=sys.stderr)
-    pipe = FeaturePipe(pulse.length, filters, ts.layout)
+    pipe = FeaturePipe(filters, ts.layout)
     det = calibrate_bias(svm, model, pipe, args.pfa, args.cal_trials,
                          derive_seed(args.seed, 9))
     io.write_detector(args.out, det, args.family, pulse.length, extras={

@@ -80,6 +80,20 @@ def _check_pfa(p: float, name: str = "target_pfa") -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {p}")
 
 
+def _check_trials(trials: int, name: str = "trials") -> None:
+    """The fewest Monte Carlo trials that any per-point estimate may use."""
+    if trials < 100:
+        raise ValueError(f"{name} must be at least 100, got {trials}")
+
+
+def _check_snr_grid(snrs: Sequence[float]) -> None:
+    """An SNR grid must be non-empty, finite and strictly increasing."""
+    if not snrs or not all(math.isfinite(s) for s in snrs):
+        raise ValueError("snr grid must be non-empty and finite")
+    if any(b <= a for a, b in zip(snrs, snrs[1:])):
+        raise ValueError("snr grid must be strictly increasing")
+
+
 def _check_steady_nonempty(layout: ScaleLayout) -> None:
     if layout.steady_length == 0:
         raise ValueError("layout has no steady coefficients at any retained scale")
@@ -170,15 +184,11 @@ class DetectionCurve:
     def __post_init__(self) -> None:
         _check_pfa(self.pfa, "pfa")
         pts = tuple((float(s), float(p), float(e)) for s, p, e in self.points)
-        if not pts:
-            raise ValueError("a detection curve needs at least one point")
-        snrs = [s for s, _, _ in pts]
-        if any(b <= a for a, b in zip(snrs, snrs[1:])):
-            raise ValueError("snr_db values must be strictly increasing")
+        _check_snr_grid([s for s, _, _ in pts])
         if any(not 0.0 <= p <= 1.0 for _, p, _ in pts):
             raise ValueError("pd values must lie in [0, 1]")
-        if not all(math.isfinite(s) and math.isfinite(e) for s, _, e in pts):
-            raise ValueError("snr_db and stderr values must be finite")
+        if not all(math.isfinite(e) for _, _, e in pts):
+            raise ValueError("stderr values must be finite")
         if self.trials_per_point < 0 or self.seed < 0:
             raise ValueError("trials_per_point and seed must be non-negative")
         object.__setattr__(self, "points", pts)
@@ -318,8 +328,7 @@ def estimate_pd(
     pipe: FeaturePipe,
 ) -> tuple[float, float]:
     """Monte Carlo Pd at one SNR: fraction of H1 trials with v > V_T."""
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    _check_trials(trials)
     _require_layout("pipe", pipe.layout, det.layout)
     v = pipe.obs_steady(pulse, float(snr_db), model, trials, seed, stat=_steady_stat_fn(det))
     pd = int(np.count_nonzero(v > det.v_threshold)) / trials
@@ -338,8 +347,7 @@ def realized_pfa_mc(
     Sharing the stream keeps the estimates paired, which tightens
     comparisons between detectors evaluated at the same operating point.
     """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    _check_trials(trials)
     for det in dets:
         _require_layout("pipe", pipe.layout, det.layout)
     fns = [_steady_stat_fn(det) for det in dets]
@@ -385,10 +393,7 @@ def sweep_curve(
 ) -> DetectionCurve:
     """One estimate_pd per grid point, each on its own derived substream."""
     grid = [float(s) for s in snr_grid]
-    if not grid:
-        raise ValueError("snr grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("snr grid must be strictly increasing")
+    _check_snr_grid(grid)
     points = []
     for j, snr in enumerate(grid):
         pd, se = estimate_pd(det, pulse, snr, model, trials, derive_seed(seed, j), pipe)

@@ -25,6 +25,7 @@ from .detector import (
     DetectionCurve,
     LinearDetector,
     _check_mc_quantile_args,
+    _check_trials,
     _sigma_v,
     analytic_stats,
     calibrate_max_coeff,
@@ -38,7 +39,7 @@ from .pipeline import FeaturePipe, layout_for_scales
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, _check_band, make_chirp, make_observation
 from .svm import SvmModel, _check_smo_args, build_training_set, decision, tune_c_for_pfa
-from .wavelet import parse_family
+from .wavelet import _require_pow2, parse_family
 
 __all__ = [
     "ExperimentConfig",
@@ -86,8 +87,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         n = self.length
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"length must be a power of two >= 2, got {n}")
+        _require_pow2(n)
+        # stored as config.txt reads it back, so the config hash round trips
+        object.__setattr__(self, "family", self.family.strip())
         filters = parse_family(self.family)
         N = n.bit_length() - 1
         sets = tuple(tuple(int(s) for s in b) for b in self.scale_sets)
@@ -110,8 +112,7 @@ class ExperimentConfig:
         NoiseModel(self.sigma_n)
         _check_mc_quantile_args(self.pfa, self.cal_trials)
         snr_grid(self.snr_min, self.snr_max, self.snr_step)
-        if self.trials_per_point < 100:
-            raise ValueError("trials_per_point must be at least 100")
+        _check_trials(self.trials_per_point, "trials_per_point")
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValueError("n_pos and n_neg must be at least 1")
         if not self.c_grid:
@@ -238,6 +239,21 @@ def _curve_plans(cfg: ExperimentConfig, bi: int) -> dict[str, tuple[int, int]]:
     }
 
 
+def _provenance(
+    cfg: ExperimentConfig, chash: str, scales: tuple[int, ...], kind: str
+) -> dict[str, str]:
+    """The ``#`` provenance lines of one curve file, for its writer and its checker."""
+    return {
+        "config_hash": chash,
+        "root_seed": str(cfg.seed),
+        "family": cfg.family,
+        "scales": ",".join(str(s) for s in scales),
+        "sigma_n": repr(cfg.sigma_n),
+        "rng": RNG_ID,
+        "kind": kind,
+    }
+
+
 def _theory_curve(
     pulse_details, det: LinearDetector, model: NoiseModel, grid, label: str,
     trials: int, seed: int,
@@ -265,21 +281,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     grid = cfg.snr_grid()
     labels = tuple(_set_label(b) for b in cfg.scale_sets)
 
-    theory: dict[str, DetectionCurve] = {}
-    svm_curves: dict[str, DetectionCurve] = {}
-    base_curves: dict[str, DetectionCurve] = {}
+    curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
     svm_dets: dict[str, LinearDetector] = {}
     checks: list[CheckResult] = []
 
-    for bi, b in enumerate(cfg.scale_sets):
-        label = labels[bi]
+    for bi, (label, b) in enumerate(zip(labels, cfg.scale_sets)):
         pipe = FeaturePipe.for_scales(cfg.length, filters, b)
         pulse_details = pipe.details_of(pulse)
         plans = _curve_plans(cfg, bi)
 
         det_opt = optimum_a(pulse_details, cfg.pfa, noise, detector_id=f"optimum-{label}")
-        theory[label] = _theory_curve(pulse_details, det_opt, noise, grid, label,
-                                      *plans["theory"])
+        curves["theory"][label] = _theory_curve(pulse_details, det_opt, noise, grid, label,
+                                                *plans["theory"])
 
         ts = build_training_set(
             pulse, b, filters, noise, cfg.n_pos, cfg.n_neg,
@@ -291,33 +304,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             kkt_tolerance=cfg.kkt_tolerance, max_passes=cfg.max_passes,
         )
         svm_dets[label] = det_svm
-        svm_curves[label] = sweep_curve(det_svm, pulse, grid, noise, *plans["svm"], pipe)
+        curves["svm"][label] = sweep_curve(det_svm, pulse, grid, noise, *plans["svm"], pipe)
 
         det_base = calibrate_max_coeff(
             pipe, noise, cfg.pfa, cfg.cal_trials,
             derive_seed(cfg.seed, _P_BASECAL, bi), detector_id=f"baseline-{label}",
         )
-        base_curves[label] = sweep_curve(det_base, pulse, grid, noise, *plans["baseline"], pipe)
+        curves["baseline"][label] = sweep_curve(det_base, pulse, grid, noise,
+                                                *plans["baseline"], pipe)
 
         checks.append(
             _check_decision_equivalence(model, det_svm, pulse, pipe, noise, cfg, bi, label)
         )
         checks.append(_check_threshold_agreement(det_opt, pipe, noise, cfg, bi, label))
 
-        prov = {
-            "config_hash": chash,
-            "root_seed": str(cfg.seed),
-            "family": cfg.family,
-            "scales": ",".join(str(s) for s in b),
-            "sigma_n": repr(cfg.sigma_n),
-            "rng": RNG_ID,
-        }
-        write_curve_csv(os.path.join(out_dir, f"theory_{label}.csv"), theory[label],
-                        {**prov, "kind": "theory"})
-        write_curve_csv(os.path.join(out_dir, f"svm_{label}.csv"), svm_curves[label],
-                        {**prov, "kind": "svm"})
-        write_curve_csv(os.path.join(out_dir, f"baseline_{label}.csv"), base_curves[label],
-                        {**prov, "kind": "baseline"})
+        for kind, by_label in curves.items():
+            write_curve_csv(os.path.join(out_dir, f"{kind}_{label}.csv"), by_label[label],
+                            _provenance(cfg, chash, b, kind))
         write_detector(os.path.join(out_dir, f"optimum_{label}.det"), det_opt,
                        cfg.family, cfg.length)
         write_detector(
@@ -332,11 +335,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
             },
         )
 
-    checks.extend(_structural_checks(labels, cfg.scale_sets, theory, svm_curves))
-    report = ExperimentReport(
-        config=cfg, config_hash=chash, labels=labels, theory=theory, svm=svm_curves,
-        baseline=base_curves, svm_detectors=svm_dets, checks=tuple(checks),
-    )
+    checks.extend(_structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]))
+    report = ExperimentReport(config=cfg, config_hash=chash, labels=labels, **curves,
+                              svm_detectors=svm_dets, checks=tuple(checks))
 
     _atomic_write(os.path.join(out_dir, "gaps.csv"),
                   _gaps_csv(chash, cfg.seed, gap_table(report)))
@@ -492,12 +493,12 @@ def _write_checks(path: str, report: ExperimentReport) -> None:
 def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     """Re-verify a finished output directory from its stored artifacts.
 
-    Every curve must carry the config's hash and root seed, the trials per
-    point and seed that run_experiment gives its kind, and pass the
+    Every curve must carry the provenance, Pfa, SNR grid, trials per point
+    and seed that run_experiment gives its kind and scale set, and pass the
     dominance and ceiling checks that run_experiment applies; gaps.csv must
     equal, byte for byte, the table re-derived from those curves; every
-    detector file must match the config's family, signal length, Pfa and
-    scale layout; and checks.txt must end in VALID.
+    detector file must match the config's family, Pfa and scale layout (so
+    its signal length); and checks.txt must record no FAIL and end in VALID.
     """
     messages = []
     ok = True
@@ -516,7 +517,7 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     chash = config_hash(cfg)
     labels = tuple(_set_label(b) for b in cfg.scale_sets)
     curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
-    for bi, label in enumerate(labels):
+    for bi, (label, b) in enumerate(zip(labels, cfg.scale_sets)):
         plans = _curve_plans(cfg, bi)
         for kind, by_label in curves.items():
             path = os.path.join(out_dir, f"{kind}_{label}.csv")
@@ -525,13 +526,13 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
             except (OSError, ValueError) as e:
                 fail(f"cannot load {path}: {e}")
                 continue
-            if prov.get("config_hash") != chash:
-                fail(f"{path}: config_hash {prov.get('config_hash')} != {chash}")
-            if prov.get("root_seed") != str(cfg.seed):
-                fail(f"{path}: root_seed mismatch")
-            if (curve.trials_per_point, curve.seed) != plans[kind]:
-                fail(f"{path}: (trials, seed) ({curve.trials_per_point}, {curve.seed}) "
-                     f"!= {plans[kind]}")
+            for key, want in _provenance(cfg, chash, b, kind).items():
+                if prov.get(key) != want:
+                    fail(f"{path}: {key} {prov.get(key)} != {want}")
+            want = (cfg.pfa, cfg.snr_grid(), *plans[kind])
+            got = (curve.pfa, tuple(p[0] for p in curve.points), curve.trials_per_point, curve.seed)
+            if got != want:
+                fail(f"{path}: (pfa, snr grid, trials, seed) {got} != {want}")
             by_label[label] = curve
     if ok:
         for c in _structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]):
@@ -561,14 +562,12 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
         for kind in ("optimum", "svm"):
             path = os.path.join(out_dir, f"{kind}_{label}.det")
             try:
-                det, family, signal_length, _ = read_detector(path)
+                det, family, _, _ = read_detector(path)
             except (OSError, ValueError) as e:
                 fail(f"cannot load {path}: {e}")
                 continue
             if family != cfg.family:
                 fail(f"{path}: family {family} != {cfg.family}")
-            if signal_length != cfg.length:
-                fail(f"{path}: signal length {signal_length} != {cfg.length}")
             if det.target_pfa != cfg.pfa:
                 fail(f"{path}: pfa {det.target_pfa!r} != {cfg.pfa!r}")
             if det.layout != layout:
@@ -577,6 +576,9 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     try:
         with open(checks_path, "r", encoding="ascii") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
+        for ln in lines:
+            if ln.startswith("FAIL"):
+                fail(f"checks.txt records a failed check: {ln}")
         if not lines or lines[-1] != "VALID":
             fail("checks.txt does not end in VALID")
         if lines and lines[0] != f"# config_hash={chash}":

@@ -4,9 +4,10 @@ Binary artifacts share one convention: a single ASCII header line of
 semicolon-separated ``key=value`` fields, a newline, then the payload as
 little-endian 64-bit floats.  Curves are plain CSV with ``#`` provenance
 comments.  All floats are written with ``repr`` so that values round-trip
-exactly and repeated runs produce byte-identical files.  Writes go through
-a temporary file and an atomic rename, so readers never observe partial
-artifacts.
+exactly and repeated runs produce byte-identical files.  A coefficient or
+detector file's ``signal_length`` must be the one its layout implies.
+Writes go through a temporary file and an atomic rename, so readers never
+observe partial artifacts.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ _HYP_OF_KIND = {v: k for k, v in _KIND_OF_HYP.items()}
 
 # header fields each reader needs; every writer emits them
 _SIGNAL_KEYS = ("length", "kind", "snr_db", "seed")
-_LAYOUT_KEYS = ("scales", "segment_bounds", "steady_starts")
-_COEFFS_KEYS = ("length", *_LAYOUT_KEYS, "family", "signal_length")
+_LAYOUT_KEYS = ("scales", "segment_bounds", "steady_starts", "family", "signal_length")
+_COEFFS_KEYS = ("length", *_LAYOUT_KEYS)
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -132,13 +133,23 @@ def read_signal(path: str) -> SampledSignal:
 
 # -- layouts and coefficient vectors ----------------------------------------
 
-def _layout_fields(layout: ScaleLayout) -> dict[str, str]:
+def _check_signal_length(layout: ScaleLayout, signal_length: int, path: str) -> None:
+    if signal_length != layout.source_length:
+        raise ValueError(f"{path}: signal_length {signal_length} is not the layout's "
+                         f"source length {layout.source_length}")
+
+
+def _layout_fields(layout: ScaleLayout, family: str, signal_length: int, path: str) -> dict:
+    """Header fields of a layout, its family and the signal length it implies."""
+    _check_signal_length(layout, signal_length, path)
     return {
         "scales": ",".join(str(s) for s in layout.scales),
         "segment_bounds": ",".join(
             f"{off}:{m}" for off, m in zip(layout.offsets, layout.seg_lengths)
         ),
         "steady_starts": ",".join(str(t) for t in layout.steady_starts),
+        "family": family,
+        "signal_length": str(signal_length),
     }
 
 
@@ -153,14 +164,13 @@ def _layout_from_fields(fields: Mapping[str, str], path: str) -> ScaleLayout:
     )
     if tuple(off for off, _ in bounds) != layout.offsets:
         raise ValueError(f"{path}: segment_bounds offsets are not contiguous")
+    _check_signal_length(layout, int(fields["signal_length"]), path)
     return layout
 
 
 def write_coeffs(path: str, d: DetailCoefficients, family: str, signal_length: int) -> None:
     fields = {"length": str(d.layout.total_length)}
-    fields.update(_layout_fields(d.layout))
-    fields["family"] = family
-    fields["signal_length"] = str(int(signal_length))
+    fields.update(_layout_fields(d.layout, family, int(signal_length), path))
     _atomic_write(path, _header_line(_COEFFS_TAG, fields) + d.values.astype("<f8").tobytes())
 
 
@@ -182,7 +192,7 @@ def read_coeffs(path: str) -> tuple[DetailCoefficients, str, int]:
 # -- detectors ----------------------------------------------------------------
 
 _DETECTOR_KEYS = (
-    "kind", "detector_id", "pfa", "v_threshold", *_LAYOUT_KEYS, "family", "signal_length",
+    "kind", "detector_id", "pfa", "v_threshold", *_LAYOUT_KEYS,
     "calibration", "cal_trials", "cal_seed", "rng",
 )
 
@@ -201,9 +211,7 @@ def write_detector(
         "pfa": repr(det.target_pfa),
         "v_threshold": repr(det.v_threshold),
     }
-    fields.update(_layout_fields(det.layout))
-    fields["family"] = family
-    fields["signal_length"] = str(int(signal_length))
+    fields.update(_layout_fields(det.layout, family, int(signal_length), path))
     cal = det.calibration
     fields["calibration"] = cal.method
     fields["cal_trials"] = _opt(cal.trials)

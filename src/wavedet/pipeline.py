@@ -1,9 +1,10 @@
 """Batched signal-to-feature pipeline and the one Monte Carlo stream.
 
-A FeaturePipe fixes the (signal length, filter pair, scale layout) triple
-and turns raw sample batches into concatenated detail vectors or their
-steady-range restrictions.  Monte Carlo streams are chunked: trial t
-always lands in chunk t // CHUNK with substream path (*path, chunk), so the
+A FeaturePipe fixes a filter pair and a scale layout, which implies the
+signal length, and turns raw sample batches into concatenated detail
+vectors or their steady-range restrictions.  Monte Carlo streams are
+chunked: trial t always lands in chunk t // CHUNK with substream path
+(*path, chunk), so the
 realisation of trial t depends only on (seed, path, t), never on how many
 trials a caller asked for or in what order chunks were evaluated.
 
@@ -43,7 +44,8 @@ import numpy as np
 
 from .rng import chunk_bounds, normal_from_ints, normal_ints, substream
 from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
-from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid_batch
+from .wavelet import (DetailCoefficients, ScaleLayout, WaveletFilterPair, _require_pow2,
+                      pyramid_batch)
 
 # samples per block of a Monte Carlo chunk: 2^17 float64 values are 1 MB
 BLOCK_SAMPLES = 2**17
@@ -67,8 +69,7 @@ def layout_for_scales(
     still satisfy Parseval).
     """
     n = int(length)
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"signal length must be a power of two >= 2, got {length}")
+    _require_pow2(n)
     N = n.bit_length() - 1
     if not scales:
         raise ValueError("scale set must be non-empty")
@@ -82,25 +83,20 @@ def layout_for_scales(
 
 @dataclass(frozen=True)
 class FeaturePipe:
-    """Signal length + filter pair + detail layout, with batch transforms."""
+    """Filter pair + detail layout, with batch transforms; the layout fixes the length."""
 
-    length: int
     filters: WaveletFilterPair
     layout: ScaleLayout
-
-    def __post_init__(self) -> None:
-        if self.layout.source_length != self.length:
-            raise ValueError(
-                f"layout implies source length {self.layout.source_length}, "
-                f"pipe declares {self.length}"
-            )
 
     @classmethod
     def for_scales(
         cls, length: int, filters: WaveletFilterPair, scales: Sequence[int]
     ) -> "FeaturePipe":
-        return cls(length=int(length), filters=filters,
-                   layout=layout_for_scales(length, filters, scales))
+        return cls(filters=filters, layout=layout_for_scales(length, filters, scales))
+
+    @property
+    def length(self) -> int:
+        return self.layout.source_length
 
     @property
     def steady_dim(self) -> int:

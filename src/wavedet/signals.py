@@ -22,6 +22,7 @@ import numpy as np
 from scipy.signal import chirp as _scipy_chirp
 
 from .rng import normal, substream
+from .wavelet import _require_pow2
 
 _POWER_TOL = 1e-12
 
@@ -80,11 +81,6 @@ class SampledSignal:
     @property
     def length(self) -> int:
         return int(self.samples.shape[0])
-
-
-def _require_pow2(n: int) -> None:
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
 
 
 def amplitude(snr_db, model: NoiseModel) -> np.ndarray:

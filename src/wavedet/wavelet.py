@@ -1,9 +1,9 @@
 """Orthonormal Daubechies filter banks and the dyadic pyramid decomposition.
 
 The transform is the classic two-filter subband scheme: at each level the
-running approximation is circularly convolved with the low-pass and
-high-pass analysis filters and decimated by two (even-indexed outputs
-kept), producing the next approximation and that level's detail vector.
+running approximation is circularly convolved with the low-pass filter
+and its high-pass quadrature mirror and decimated by two (even-indexed
+outputs kept), producing the next approximation and that level's detail vector.
 Periodic extension keeps the filter bank exactly orthogonal at every even
 input length, so Parseval holds to rounding error and white noise maps to
 white coefficients.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -98,35 +98,31 @@ _ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WaveletFilterPair:
-    """Orthonormal low-pass/high-pass analysis pair of even length L."""
+    """Orthonormal analysis pair of even length L, given by its low-pass filter h.
+
+    The high-pass filter g[n] = (-1)^n * h[L-1-n] is derived: h's quadrature mirror.
+    """
 
     h: np.ndarray
-    g: np.ndarray
+    g: np.ndarray = field(init=False)
     family_name: str
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=np.float64).copy()
-        g = np.asarray(self.g, dtype=np.float64).copy()
-        if h.ndim != 1 or h.shape != g.shape:
-            raise ValueError("h and g must be equal-length 1-D vectors")
-        L = h.shape[0]
+        L = h.shape[0] if h.ndim == 1 else 0
         if L < 2 or L % 2:
-            raise ValueError(f"filter length must be even and >= 2, got {L}")
-        for name, f in (("h", h), ("g", g)):
-            e = float(f @ f)
-            if abs(e - 1.0) > _ENERGY_TOL:
-                raise ValueError(f"{name} energy {e!r} deviates from 1 beyond {_ENERGY_TOL}")
-        mirror = np.where(np.arange(L) % 2 == 0, 1.0, -1.0) * h[::-1]
-        if np.max(np.abs(g - mirror)) > _ENERGY_TOL:
-            raise ValueError("g is not the quadrature mirror of h")
+            raise ValueError(f"h must be a 1-D filter of even length >= 2, got shape {h.shape}")
+        e = float(h @ h)
+        if abs(e - 1.0) > _ENERGY_TOL:
+            raise ValueError(f"h energy {e!r} deviates from 1 beyond {_ENERGY_TOL}")
         for k in range(1, L // 2):
             dot = float(h[: L - 2 * k] @ h[2 * k:])
             if abs(dot) > _ORTHO_TOL:
                 raise ValueError(f"h fails shift-{2 * k} orthonormality: {dot!r}")
-        h.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
+        g = np.where(np.arange(L) % 2 == 0, 1.0, -1.0) * h[::-1]
+        for name, f in (("h", h), ("g", g)):
+            f.flags.writeable = False
+            object.__setattr__(self, name, f)
 
     @property
     def length(self) -> int:
@@ -134,17 +130,11 @@ class WaveletFilterPair:
 
 
 def db_filters(order: int) -> WaveletFilterPair:
-    """Standard Daubechies analysis pair of length L = 2 * order.
-
-    ``order`` 1 is the Haar pair.  The high-pass filter is the quadrature
-    mirror g[n] = (-1)^n * h[L-1-n].
-    """
+    """Standard Daubechies analysis pair of length L = 2 * order; order 1 is Haar."""
     if order not in _DB_LOWPASS:
         raise ValueError(f"unsupported Daubechies order {order}; supported: 1..10")
-    h = np.array(_DB_LOWPASS[order], dtype=np.float64)
-    L = h.shape[0]
-    g = np.where(np.arange(L) % 2 == 0, 1.0, -1.0) * h[::-1]
-    return WaveletFilterPair(h=h, g=g, family_name=f"db{order}")
+    return WaveletFilterPair(h=np.array(_DB_LOWPASS[order], dtype=np.float64),
+                             family_name=f"db{order}")
 
 
 def parse_family(name: str) -> WaveletFilterPair:
@@ -192,14 +182,14 @@ class ScaleLayout:
         object.__setattr__(self, "seg_lengths", lengths)
         object.__setattr__(self, "steady_starts", starts)
 
-    # offsets, the steady mask and steady_length sit on every per-observation
-    # path, so they are cached in the instance dict; the fields are frozen
+    # source_length, offsets, the steady mask and steady_length sit on every
+    # per-observation path, so they are cached in the instance dict; fields are frozen
 
     @property
     def total_length(self) -> int:
         return sum(self.seg_lengths)
 
-    @property
+    @cached_property
     def source_length(self) -> int:
         return self.seg_lengths[0] * 2 ** self.scales[0]
 
@@ -301,6 +291,12 @@ def tally_madds(n: int) -> None:
 # ---------------------------------------------------------------------------
 # The pyramid engine.
 
+def _require_pow2(n: int) -> None:
+    """The one power-of-two rule for signal lengths, which the pyramid needs."""
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+
+
 def _filter_down(X: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Circular convolution with f followed by keep-even decimation.
 
@@ -338,8 +334,7 @@ def pyramid_batch(
     if X.ndim != 2:
         raise ValueError("pyramid_batch expects a 2-D batch")
     n = X.shape[1]
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"input length must be a power of two >= 2, got {n}")
+    _require_pow2(n)
     levels = int(max_level)
     if not 1 <= levels <= n.bit_length() - 1:
         raise ValueError(f"max_level {max_level} out of range for length {n}")

@@ -2,11 +2,13 @@
 
 import dataclasses
 import filecmp
+import math
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavedet import (
     ExperimentConfig,
@@ -64,6 +66,47 @@ def test_config_text_round_trip(mini_cfg):
     cfg = parse_config_text("# comment\n\nsigma_n = 2.0\n")
     assert cfg.sigma_n == 2.0
     assert cfg.family == "db5"
+
+
+@st.composite
+def _configs(draw):
+    """Valid configs, with family names padded and in any case."""
+    order = draw(st.integers(1, 10))
+    # long enough that scale 1 keeps a steady coefficient
+    log_n = draw(st.integers(next(n for n in range(2, 13) if 2 ** (n - 1) > 2 * order), 12))
+    if order == 1 and draw(st.booleans()):
+        name = draw(st.sampled_from(["haar", "Haar", "HAAR"]))
+    else:
+        name = draw(st.sampled_from(["db", "DB", "Db"])) + str(order)
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    deepest = max(s for s in range(1, log_n + 1) if 2 ** (log_n - s) > 2 * order)
+    scale_set = st.lists(st.integers(1, deepest), min_size=1, max_size=4, unique=True).map(tuple)
+    pfa = draw(st.floats(1e-4, 0.5))
+    snr_min = draw(st.floats(-40.0, 10.0))
+    f_start, f_end = draw(st.lists(st.floats(0.001, 0.499), min_size=2, max_size=2, unique=True))
+    positive = st.floats(1e-3, 1e3)
+    return ExperimentConfig(
+        length=2**log_n, f_start=f_start, f_end=f_end,
+        family=draw(pad) + name + draw(pad),
+        scale_sets=tuple(draw(st.lists(scale_set, min_size=1, max_size=4, unique=True))),
+        pfa=pfa, snr_min=snr_min, snr_max=snr_min + draw(st.floats(0.1, 30.0)),
+        snr_step=draw(st.floats(0.01, 10.0)), trials_per_point=draw(st.integers(100, 10**6)),
+        cal_trials=math.ceil(100 / pfa) + 1 + draw(st.integers(0, 10**5)),
+        n_pos=draw(st.integers(1, 10**4)), n_neg=draw(st.integers(1, 10**4)),
+        c_grid=tuple(draw(st.lists(st.tuples(positive, positive), min_size=1, max_size=4))),
+        kkt_tolerance=draw(st.floats(1e-6, 1.0)), max_passes=draw(st.integers(1, 10**5)),
+        sigma_n=draw(positive), seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_configs())
+def test_config_text_round_trip_property(cfg):
+    # experiment_check re-parses config.txt and compares hashes, so every
+    # valid config must come back equal, with the same hash
+    back = parse_config_text(canonical_config_text(cfg))
+    assert back == cfg
+    assert config_hash(back) == config_hash(cfg)
 
 
 def test_config_text_rejects_unknown_keys():
@@ -208,6 +251,18 @@ def _set_curve_column(name, col, value):
     return damage
 
 
+def _replace_in(pattern, old, new):
+    """Damage that replaces the first ``old`` by ``new`` in every file matching ``pattern``."""
+    def damage(out):
+        paths = sorted(out.glob(pattern))
+        assert paths
+        for path in paths:
+            text = path.read_text()
+            assert old in text
+            path.write_text(text.replace(old, new, 1))
+    return damage
+
+
 @pytest.mark.parametrize("damage, named", [
     (lambda out: os.remove(out / "gaps.csv"), "gaps.csv"),
     (lambda out: os.remove(out / "svm_d3.det"), "svm_d3.det"),
@@ -220,9 +275,25 @@ def _set_curve_column(name, col, value):
     (_set_curve_column("baseline_d3.csv", 4, "7"), "baseline_d3.csv"),
     (_set_curve_column("svm_d3.csv", 5, "99"), "svm_d3.csv"),
     (_set_curve_column("theory_d3.csv", 4, "-5"), "theory_d3.csv"),
+    # provenance lines that run_experiment writes and the check re-derives
+    (_replace_in("svm_d3.csv", "# kind=svm", "# kind=baseline"), "svm_d3.csv: kind"),
+    (_replace_in("svm_d3.csv", "# sigma_n=1.0", "# sigma_n=2.0"), "svm_d3.csv: sigma_n"),
+    (_replace_in("theory_d3.csv", "# scales=3", "# scales=4"), "theory_d3.csv: scales"),
+    (_replace_in("baseline_d4.csv", "# family=db5", "# family=db2"), "baseline_d4.csv: family"),
+    # SNR and Pfa columns: gaps.csv takes its SNRs from the theory curves only
+    (_replace_in("svm_d3.csv", "\n-6.0,", "\n-7.0,"), "svm_d3.csv"),
+    (_replace_in("svm_*.csv", "\n-6.0,", "\n-7.0,"), "svm_d3_4.csv"),
+    (_set_curve_column("baseline_d3.csv", 3, "0.05"), "baseline_d3.csv"),
+    (_set_curve_column("theory_d3.csv", 3, "0.05"), "theory_d3.csv"),
+    # a failed check recorded above a final VALID line
+    (_replace_in("checks.txt", "PASS decision-statistic-equivalence[d3]",
+                 "FAIL decision-statistic-equivalence[d3]"), "checks.txt"),
 ], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped",
         "baseline-trials-infinite", "baseline-trials-changed", "svm-seed-changed",
-        "theory-trials-negative"])
+        "theory-trials-negative", "svm-kind-changed", "svm-sigma-changed",
+        "theory-scales-changed", "baseline-family-changed", "svm-one-snr-changed",
+        "every-svm-snr-changed", "baseline-pfa-changed", "theory-pfa-changed",
+        "checks-fail-line"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run
     bad = tmp_path / "damaged"

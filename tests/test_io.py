@@ -78,6 +78,29 @@ def test_readers_reject_a_missing_header_field(tmp_path, pipe34, pulse256, noise
             read(p)
 
 
+def test_writers_reject_a_mismatched_signal_length(tmp_path, pipe34, pulse256, noise):
+    # the layout of a 256-sample signal cannot describe a 512-sample one
+    d = pipe34.details_of(pulse256)
+    det = optimum_a(d, 1e-2, noise)
+    for name, write, arg in (("c.coef", io.write_coeffs, d), ("d.det", io.write_detector, det)):
+        with pytest.raises(ValueError, match="signal_length"):
+            write(tmp_path / name, arg, "db5", 512)
+        assert not (tmp_path / name).exists()
+
+
+def test_readers_reject_a_mismatched_signal_length(tmp_path, pipe34, pulse256, noise):
+    d = pipe34.details_of(pulse256)
+    det = optimum_a(d, 1e-2, noise)
+    cases = (("c.coef", io.write_coeffs, d, io.read_coeffs),
+             ("d.det", io.write_detector, det, io.read_detector))
+    for name, write, arg, read in cases:
+        p = tmp_path / name
+        write(p, arg, "db5", 256)
+        p.write_bytes(p.read_bytes().replace(b"signal_length=256", b"signal_length=512", 1))
+        with pytest.raises(ValueError, match="signal_length"):
+            read(p)
+
+
 def test_signal_rejects_truncated_payload(tmp_path, pulse256):
     p = tmp_path / "x.sig"
     io.write_signal(p, pulse256)

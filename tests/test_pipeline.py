@@ -197,12 +197,6 @@ def test_obs_equals_noise_plus_scaled_template(pipe34, pulse256, noise):
     np.testing.assert_allclose(obs, noi + tmpl, rtol=0, atol=1e-12)
 
 
-def test_pipe_rejects_mismatched_layout(db5):
-    layout = layout_for_scales(128, db5, (2,))
-    with pytest.raises(ValueError):
-        FeaturePipe(256, db5, layout)
-
-
 def test_pipe_rejects_wrong_length_input(pipe34):
     with pytest.raises(ValueError):
         pipe34.transform_batch(np.zeros((2, 128)))

@@ -16,8 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from wavedet import (
     DetailCoefficients,
+    ExperimentConfig,
     FeaturePipe,
+    Hypothesis,
     NoiseModel,
+    SampledSignal,
     ScaleLayout,
     count_ops,
     db_filters,
@@ -89,7 +92,21 @@ def test_parse_family_errors():
 def test_filter_pair_rejects_non_orthonormal():
     bad = np.array([0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
-        WaveletFilterPair(h=bad, g=bad, family_name="bad")
+        WaveletFilterPair(h=bad, family_name="bad")
+
+
+def test_power_of_two_rule_has_one_message(db5):
+    errors = []
+    for build in (
+        lambda: SampledSignal(samples=np.zeros(100), hypothesis=Hypothesis.NOISE),
+        lambda: layout_for_scales(100, db5, (1,)),
+        lambda: pyramid_batch(np.zeros((1, 100)), db5, 1),
+        lambda: ExperimentConfig(length=100),
+    ):
+        with pytest.raises(ValueError) as e:
+            build()
+        errors.append(str(e.value))
+    assert errors == ["signal length must be a power of two >= 2, got 100"] * 4
 
 
 # -- transform vs dense matrix oracle ------------------------------------
@@ -164,7 +181,7 @@ def test_layout_shapes_and_steady_starts(db5):
     x = np.zeros(256)
     x[0] = 1.0
     layout = layout_for_scales(256, db5, (1, 2, 3, 4))
-    d = FeaturePipe(256, db5, layout).details_of(x)
+    d = FeaturePipe(db5, layout).details_of(x)
     assert d.layout == layout
     assert [d.segment(s).size for s in (1, 2, 3, 4)] == [128, 64, 32, 16]
     assert layout.steady_starts == tuple(min(db5.length, m) for m in layout.seg_lengths)
