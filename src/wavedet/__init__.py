@@ -33,7 +33,6 @@ from .harness import (
     canonical_config_text,
     config_hash,
     experiment_check,
-    gap_table,
     parse_config_text,
     run_experiment,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "max_coeff_baseline", "qfunc", "qfunc_inv", "realized_pfa_mc", "statistic",
     "sweep_curve", "threshold_for_pfa_analytic", "threshold_for_pfa_mc",
     "CheckResult", "ExperimentConfig", "ExperimentReport", "canonical_config_text",
-    "config_hash", "experiment_check", "gap_table", "parse_config_text",
+    "config_hash", "experiment_check", "parse_config_text",
     "run_experiment",
     "optimum_a",
     "FeaturePipe", "layout_for_scales",

@@ -24,6 +24,7 @@ from .detector import (
 )
 from .harness import (
     ExperimentConfig,
+    _check_lines,
     canonical_config_text,
     experiment_check,
     parse_config_text,
@@ -178,9 +179,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             cfg = ExperimentConfig()
         report = run_experiment(cfg, args.out_dir)
-        for c in report.checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-        print(f"{'VALID' if report.valid else 'INVALID'} -> {args.out_dir}")
+        print("\n".join(_check_lines(report)) + f" -> {args.out_dir}")
         return 0 if report.valid else 1
     ok, messages = experiment_check(args.out_dir)
     for m in messages:

@@ -24,7 +24,7 @@ from scipy.special import erfc, ndtri
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, SampledSignal, amplitude
-from .wavelet import DetailCoefficients, ScaleLayout, tally_madds
+from .wavelet import DetailCoefficients, ScaleLayout, _set_label, tally_madds
 
 __all__ = [
     "qfunc",
@@ -368,7 +368,6 @@ def calibrate_max_coeff(
     target_pfa: float,
     trials: int,
     seed: int,
-    detector_id: str = "max-coeff",
 ) -> MaxCoeffDetector:
     """Monte Carlo threshold for the baseline at the requested Pfa."""
     _check_steady_nonempty(pipe.layout)
@@ -378,7 +377,7 @@ def calibrate_max_coeff(
         v_threshold=vt,
         target_pfa=float(target_pfa),
         calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed), rng_id=RNG_ID),
-        detector_id=detector_id,
+        detector_id="baseline-" + _set_label(pipe.layout.scales),
     )
 
 

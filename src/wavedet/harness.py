@@ -14,7 +14,6 @@ output directory is marked valid only if every check passes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields as dc_fields
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from .detector import (
+    Calibration,
     DetectionCurve,
     LinearDetector,
     _check_mc_quantile_args,
@@ -33,20 +33,27 @@ from .detector import (
     sweep_curve,
     threshold_for_pfa_mc,
 )
-from .io import _atomic_write, read_curve_csv, read_detector, write_curve_csv, write_detector
+from .io import (
+    _atomic_write,
+    _curve_csv_bytes,
+    _detector_bytes,
+    read_curve_csv,
+    read_detector,
+    write_curve_csv,
+    write_detector,
+)
 from .optimum import optimum_a
 from .pipeline import FeaturePipe, layout_for_scales
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, _check_band, make_chirp, make_observation
 from .svm import SvmModel, _check_smo_args, build_training_set, decision, tune_c_for_pfa
-from .wavelet import _require_pow2, parse_family
+from .wavelet import _require_pow2, _set_label, parse_family
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "CheckResult",
     "run_experiment",
-    "gap_table",
     "experiment_check",
     "parse_config_text",
     "canonical_config_text",
@@ -137,10 +144,6 @@ def snr_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"snr_step must be positive, got {step}")
     k = int(math.floor((hi - lo) / step + 1e-9))
     return tuple(lo + i * step for i in range(k + 1))
-
-
-def _set_label(b: tuple[int, ...]) -> str:
-    return "d" + "_".join(str(s) for s in b)
 
 
 # -- config text format -------------------------------------------------------
@@ -290,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         pulse_details = pipe.details_of(pulse)
         plans = _curve_plans(cfg, bi)
 
-        det_opt = optimum_a(pulse_details, cfg.pfa, noise, detector_id=f"optimum-{label}")
+        det_opt = optimum_a(pulse_details, cfg.pfa, noise)
         curves["theory"][label] = _theory_curve(pulse_details, det_opt, noise, grid, label,
                                                 *plans["theory"])
 
@@ -306,10 +309,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         svm_dets[label] = det_svm
         curves["svm"][label] = sweep_curve(det_svm, pulse, grid, noise, *plans["svm"], pipe)
 
-        det_base = calibrate_max_coeff(
-            pipe, noise, cfg.pfa, cfg.cal_trials,
-            derive_seed(cfg.seed, _P_BASECAL, bi), detector_id=f"baseline-{label}",
-        )
+        det_base = calibrate_max_coeff(pipe, noise, cfg.pfa, cfg.cal_trials,
+                                       derive_seed(cfg.seed, _P_BASECAL, bi))
         curves["baseline"][label] = sweep_curve(det_base, pulse, grid, noise,
                                                 *plans["baseline"], pipe)
 
@@ -339,9 +340,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     report = ExperimentReport(config=cfg, config_hash=chash, labels=labels, **curves,
                               svm_detectors=svm_dets, checks=tuple(checks))
 
-    _atomic_write(os.path.join(out_dir, "gaps.csv"),
-                  _gaps_csv(chash, cfg.seed, gap_table(report)))
-    _write_checks(os.path.join(out_dir, "checks.txt"), report)
+    _atomic_write(os.path.join(out_dir, "gaps.csv"), _gaps_csv(chash, cfg.seed, labels, curves))
+    checks_text = "\n".join([f"# config_hash={chash}", *_check_lines(report)]) + "\n"
+    _atomic_write(os.path.join(out_dir, "checks.txt"), checks_text.encode("ascii"))
     _atomic_write(os.path.join(out_dir, "config.txt"),
                   canonical_config_text(cfg).encode("ascii"))
     return report
@@ -436,77 +437,68 @@ def _ceiling_se(mc_curve: DetectionCurve, pd_theory: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(mc_curve.stderr_values(), implied), 1e-12)
 
 
-def gap_table(report: ExperimentReport) -> list[dict]:
-    """Flat per-(scale set, SNR) comparison rows; errors on incomplete input.
+def _gaps_csv(
+    chash: str, root_seed: int, labels: tuple[str, ...],
+    curves: dict[str, dict[str, DetectionCurve]],
+) -> bytes:
+    """The bytes of gaps.csv: each kind's Pd and theory minus SVM, per scale set and SNR.
 
     The rows do not judge the gaps: the svm-theory-ceiling check does.
     """
-    return _gap_rows(report.labels, report.theory, report.svm, report.baseline)
-
-
-def _gap_rows(
-    labels: tuple[str, ...],
-    theory: dict[str, DetectionCurve],
-    svm: dict[str, DetectionCurve],
-    baseline: dict[str, DetectionCurve],
-) -> list[dict]:
-    rows = []
-    for label in labels:
-        if label not in svm:
-            raise ValueError(f"report is missing the SVM curve for {label}")
-        if label not in theory or label not in baseline:
-            raise ValueError(f"report is missing curves for {label}")
-        for (snr, pd_t, _), (_, pd_s, _), (_, pd_b, _) in zip(
-            theory[label].points, svm[label].points, baseline[label].points
-        ):
-            rows.append({
-                "scale_set": label, "snr_db": snr, "pd_theory": pd_t,
-                "pd_svm": pd_s, "pd_baseline": pd_b, "gap": pd_t - pd_s,
-            })
-    return rows
-
-
-def _gaps_csv(chash: str, root_seed: int, rows: list[dict]) -> bytes:
-    """The bytes of gaps.csv for gap-table rows."""
     lines = [
         f"# config_hash={chash}",
         f"# root_seed={root_seed}",
         f"# rng={RNG_ID}",
         "scale_set,snr_db,pd_theory,pd_svm,pd_baseline,gap",
     ]
-    for r in rows:
-        lines.append(
-            f"{r['scale_set']},{r['snr_db']!r},{r['pd_theory']!r},"
-            f"{r['pd_svm']!r},{r['pd_baseline']!r},{r['gap']!r}"
-        )
+    for label in labels:
+        for (snr, pd_t, _), (_, pd_s, _), (_, pd_b, _) in zip(
+            curves["theory"][label].points, curves["svm"][label].points,
+            curves["baseline"][label].points,
+        ):
+            lines.append(f"{label},{snr!r},{pd_t!r},{pd_s!r},{pd_b!r},{pd_t - pd_s!r}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _write_checks(path: str, report: ExperimentReport) -> None:
-    lines = [f"# config_hash={report.config_hash}"]
-    for c in report.checks:
-        lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+def _check_lines(report: ExperimentReport) -> list[str]:
+    """A ``PASS``/``FAIL`` line per check, then ``VALID`` or ``INVALID``."""
+    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in report.checks]
     lines.append("VALID" if report.valid else "INVALID")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    return lines
 
 
 def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     """Re-verify a finished output directory from its stored artifacts.
 
-    Every curve must carry the provenance, Pfa, SNR grid, trials per point
-    and seed that run_experiment gives its kind and scale set, and pass the
-    dominance and ceiling checks that run_experiment applies; gaps.csv must
-    equal, byte for byte, the table re-derived from those curves; every
-    detector file must match the config's family, Pfa and scale layout (so
-    its signal length); and checks.txt must record no FAIL and end in VALID.
+    Each curve and detector file must hold, byte for byte, what its io
+    writer renders for the object rebuilt from two sources: what the config
+    fixes (provenance, id, Pfa, SNR grid, trials, seeds, layout, family,
+    calibration) and what only the run could measure, read back from the
+    file itself (Pd and stderr columns; weights, threshold, the SVM
+    calibration seed and fit extras).  The curves must pass the dominance
+    and ceiling checks that run_experiment applies, gaps.csv must be the
+    table rendered from them and config.txt its own canonical text, and
+    checks.txt must record no FAIL and end in VALID.
     """
     messages = []
-    ok = True
 
     def fail(msg: str) -> None:
-        nonlocal ok
-        ok = False
         messages.append("FAIL " + msg)
+
+    def compare(path: str, expected: bytes) -> None:
+        """The one byte comparison: ``path`` must hold what its writer renders."""
+        try:
+            with open(path, "rb") as fh:
+                stored = fh.read()
+        except OSError as e:
+            fail(f"cannot load {path}: {e}")
+            return
+        if stored != expected:
+            k = next((i for i, (x, y) in enumerate(zip(stored, expected)) if x != y),
+                     min(len(stored), len(expected)))
+            lo = max(k - 40, 0)
+            fail(f"{path} differs from its writer's rendering at byte {k}: "
+                 f"expected {expected[lo:k + 40]!r}, found {stored[lo:k + 40]!r}")
 
     cfg_path = os.path.join(out_dir, "config.txt")
     try:
@@ -514,7 +506,10 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
             cfg = parse_config_text(fh.read())
     except (OSError, ValueError) as e:
         return False, [f"FAIL cannot load config: {e}"]
+    compare(cfg_path, canonical_config_text(cfg).encode("ascii"))
     chash = config_hash(cfg)
+    grid = cfg.snr_grid()
+    filters = parse_family(cfg.family)
     labels = tuple(_set_label(b) for b in cfg.scale_sets)
     curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
     for bi, (label, b) in enumerate(zip(labels, cfg.scale_sets)):
@@ -522,56 +517,38 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
         for kind, by_label in curves.items():
             path = os.path.join(out_dir, f"{kind}_{label}.csv")
             try:
-                curve, prov = read_curve_csv(path)
+                measured, _ = read_curve_csv(path)
+                if len(measured.points) != len(grid):
+                    raise ValueError(f"{len(measured.points)} rows, the SNR grid has {len(grid)}")
+                points = tuple((snr, pd, se) for snr, (_, pd, se) in zip(grid, measured.points))
+                curve = DetectionCurve(cfg.pfa, points, f"{kind}-{label}", *plans[kind])
             except (OSError, ValueError) as e:
-                fail(f"cannot load {path}: {e}")
+                fail(f"cannot check {path}: {e}")
                 continue
-            for key, want in _provenance(cfg, chash, b, kind).items():
-                if prov.get(key) != want:
-                    fail(f"{path}: {key} {prov.get(key)} != {want}")
-            want = (cfg.pfa, cfg.snr_grid(), *plans[kind])
-            got = (curve.pfa, tuple(p[0] for p in curve.points), curve.trials_per_point, curve.seed)
-            if got != want:
-                fail(f"{path}: (pfa, snr grid, trials, seed) {got} != {want}")
             by_label[label] = curve
-    if ok:
-        for c in _structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]):
-            if not c.passed:
-                fail(f"{c.name}: {c.detail}")
-    gaps_path = os.path.join(out_dir, "gaps.csv")
-    try:
-        with open(gaps_path, "rb") as fh:
-            stored = fh.read()
-    except OSError as e:
-        fail(f"cannot load {gaps_path}: {e}")
-    else:
-        # only a full set of loaded curves yields a gap table
-        if ok:
-            rows = _gap_rows(labels, curves["theory"], curves["svm"], curves["baseline"])
-            expected = _gaps_csv(chash, cfg.seed, rows)
-            for k, (want, got) in enumerate(
-                itertools.zip_longest(expected.split(b"\n"), stored.split(b"\n")), start=1
-            ):
-                if want != got:
-                    fail(f"{gaps_path} line {k} does not match the stored curves: "
-                         f"expected {want!r}, found {got!r}")
-                    break
-    filters = parse_family(cfg.family)
-    for label, b in zip(labels, cfg.scale_sets):
+            compare(path, _curve_csv_bytes(curve, _provenance(cfg, chash, b, kind)))
         layout = layout_for_scales(cfg.length, filters, b)
         for kind in ("optimum", "svm"):
             path = os.path.join(out_dir, f"{kind}_{label}.det")
             try:
-                det, family, _, _ = read_detector(path)
+                fitted, _, _, extras = read_detector(path)
+                if not isinstance(fitted, LinearDetector):
+                    raise ValueError("holds no weights: expected a linear detector")
+                cal = (Calibration("analytic") if kind == "optimum" else
+                       Calibration("monte_carlo", cfg.cal_trials, fitted.calibration.seed, RNG_ID))
+                det = LinearDetector(fitted.a, layout, fitted.v_threshold, cfg.pfa, cal,
+                                     f"{kind}-{label}")
             except (OSError, ValueError) as e:
-                fail(f"cannot load {path}: {e}")
+                fail(f"cannot check {path}: {e}")
                 continue
-            if family != cfg.family:
-                fail(f"{path}: family {family} != {cfg.family}")
-            if det.target_pfa != cfg.pfa:
-                fail(f"{path}: pfa {det.target_pfa!r} != {cfg.pfa!r}")
-            if det.layout != layout:
-                fail(f"{path}: layout does not match scales {b}")
+            compare(path, _detector_bytes(det, cfg.family, cfg.length,
+                                          extras if kind == "svm" else None))
+    # only a full set of rebuilt curves yields the structural checks and gaps.csv
+    if all(len(by_label) == len(labels) for by_label in curves.values()):
+        for c in _structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]):
+            if not c.passed:
+                fail(f"{c.name}: {c.detail}")
+        compare(os.path.join(out_dir, "gaps.csv"), _gaps_csv(chash, cfg.seed, labels, curves))
     checks_path = os.path.join(out_dir, "checks.txt")
     try:
         with open(checks_path, "r", encoding="ascii") as fh:
@@ -585,6 +562,7 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
             fail("checks.txt config_hash mismatch")
     except OSError as e:
         fail(f"cannot load checks.txt: {e}")
+    ok = not messages
     if ok:
         messages.append(f"OK {out_dir}: {len(labels)} scale sets verified against {chash}")
     return ok, messages

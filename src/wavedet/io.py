@@ -7,7 +7,9 @@ comments.  All floats are written with ``repr`` so that values round-trip
 exactly and repeated runs produce byte-identical files.  A coefficient or
 detector file's ``signal_length`` must be the one its layout implies.
 Writes go through a temporary file and an atomic rename, so readers never
-observe partial artifacts.
+observe partial artifacts.  Curve and detector bytes each have one
+renderer, which ``experiment check`` also uses to compare a stored file
+with what its writer would write.
 """
 
 from __future__ import annotations
@@ -205,13 +207,23 @@ def write_detector(
     extras: Mapping[str, str] | None = None,
 ) -> None:
     """Detector artifact; ``extras`` lets callers append model metadata."""
+    _atomic_write(path, _detector_bytes(det, family, signal_length, extras))
+
+
+def _detector_bytes(
+    det: LinearDetector | MaxCoeffDetector,
+    family: str,
+    signal_length: int,
+    extras: Mapping[str, str] | None,
+) -> bytes:
+    """The bytes of a detector file: the one rendering its writer and checker share."""
     fields = {
         "kind": "linear" if isinstance(det, LinearDetector) else "max-coeff",
         "detector_id": det.detector_id,
         "pfa": repr(det.target_pfa),
         "v_threshold": repr(det.v_threshold),
     }
-    fields.update(_layout_fields(det.layout, family, int(signal_length), path))
+    fields.update(_layout_fields(det.layout, family, int(signal_length), "detector"))
     cal = det.calibration
     fields["calibration"] = cal.method
     fields["cal_trials"] = _opt(cal.trials)
@@ -222,7 +234,7 @@ def write_detector(
             raise ValueError(f"extras key {k!r} collides with a reserved detector field")
         fields[k] = str(v)
     a = det.a if isinstance(det, LinearDetector) else np.empty(0)
-    _atomic_write(path, _header_line(_DETECTOR_TAG, fields) + a.astype("<f8").tobytes())
+    return _header_line(_DETECTOR_TAG, fields) + a.astype("<f8").tobytes()
 
 
 def read_detector(
@@ -264,6 +276,11 @@ _CURVE_COLUMNS = "snr_db,pd,stderr,pfa,trials,seed"
 
 
 def write_curve_csv(path: str, curve: DetectionCurve, provenance: Mapping[str, str]) -> None:
+    _atomic_write(path, _curve_csv_bytes(curve, provenance))
+
+
+def _curve_csv_bytes(curve: DetectionCurve, provenance: Mapping[str, str]) -> bytes:
+    """The bytes of a curve file: the one rendering its writer and checker share."""
     lines = []
     prov = dict(provenance)
     prov.setdefault("detector_id", curve.detector_id)
@@ -275,7 +292,7 @@ def write_curve_csv(path: str, curve: DetectionCurve, provenance: Mapping[str, s
         lines.append(
             f"{snr!r},{pd!r},{se!r},{curve.pfa!r},{curve.trials_per_point},{curve.seed}"
         )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def read_curve_csv(path: str) -> tuple[DetectionCurve, dict[str, str]]:

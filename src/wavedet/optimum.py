@@ -14,14 +14,13 @@ import numpy as np
 
 from .detector import Calibration, LinearDetector, threshold_for_pfa_analytic
 from .signals import NoiseModel
-from .wavelet import DetailCoefficients
+from .wavelet import DetailCoefficients, _set_label
 
 
 def optimum_a(
     pulse_details: DetailCoefficients,
     target_pfa: float,
     model: NoiseModel,
-    detector_id: str | None = None,
 ) -> LinearDetector:
     """Deflection-maximising unit-norm coefficients with analytic threshold."""
     layout = pulse_details.layout
@@ -33,13 +32,11 @@ def optimum_a(
     a = np.zeros(layout.total_length)
     a[mask] = s / nrm
     vt = threshold_for_pfa_analytic(a, layout, model, target_pfa)
-    if detector_id is None:
-        detector_id = "optimum-" + "_".join(str(s_) for s_ in layout.scales)
     return LinearDetector(
         a=a,
         layout=layout,
         v_threshold=vt,
         target_pfa=float(target_pfa),
         calibration=Calibration("analytic"),
-        detector_id=detector_id,
+        detector_id="optimum-" + _set_label(layout.scales),
     )

@@ -202,6 +202,9 @@ class FeaturePipe:
         """
         if pulse.hypothesis is not Hypothesis.TEMPLATE:
             raise ValueError("expected a pulse template")
+        if pulse.length != self.length:
+            raise ValueError(f"pulse length {pulse.length} does not match the pipe's "
+                             f"signal length {self.length}")
         snr = np.asarray(snr_db, dtype=np.float64)
         per_trial = snr.ndim == 1
         if per_trial and snr.shape[0] != trials:

@@ -142,12 +142,18 @@ def parse_family(name: str) -> WaveletFilterPair:
     s = name.strip().lower()
     if s == "haar":
         return db_filters(1)
-    if s.startswith("db"):
-        try:
-            return db_filters(int(s[2:]))
-        except ValueError:
-            pass
+    # ASCII digits only: int() would also take other scripts' digits, which
+    # a config file's ASCII hash cannot encode
+    order = s[2:]
+    if s.startswith("db") and order.isascii() and order.isdigit():
+        if int(order) in _DB_LOWPASS:
+            return db_filters(int(order))
     raise ValueError(f"unknown wavelet family {name!r}")
+
+
+def _set_label(scales: tuple[int, ...]) -> str:
+    """The one name of a scale set in file names and detector ids: (3, 4) -> "d3_4"."""
+    return "d" + "_".join(str(s) for s in scales)
 
 
 @dataclass(frozen=True)

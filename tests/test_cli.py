@@ -101,7 +101,7 @@ def test_train_writes_model_summary(tmp_path, pulse_file):
     assert extras["converged"] == "True"
 
 
-def test_experiment_run_and_check(tmp_path):
+def test_experiment_run_and_check(tmp_path, capsys):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(
         "length = 256\n"
@@ -120,6 +120,10 @@ def test_experiment_run_and_check(tmp_path):
     out = tmp_path / "run"
     assert main(["experiment", "run", "--config", str(cfg),
                  "--out-dir", str(out)]) == 0
+    # the run prints the body of checks.txt, its verdict followed by the directory
+    printed = capsys.readouterr().out.splitlines()
+    body = (out / "checks.txt").read_text().splitlines()[1:]
+    assert printed == body[:-1] + [f"{body[-1]} -> {out}"]
     assert main(["experiment", "check", "--out-dir", str(out)]) == 0
     # invalidate and re-check
     text = (out / "checks.txt").read_text().replace("\nVALID", "\nINVALID")

@@ -153,7 +153,7 @@ def test_realized_pfa_shares_one_stream(pipe34, noise):
 
 def test_max_coeff_detector(pipe34, pulse256, noise):
     det = calibrate_max_coeff(pipe34, noise, 0.02, 20_000, seed=2)
-    assert det.detector_id == "max-coeff"
+    assert det.detector_id == "baseline-d3_4"
     assert det.calibration.method == "monte_carlo"
     d = pipe34.details_of(pulse256)
     v = np.max(np.abs(d.steady_values()))

@@ -15,7 +15,6 @@ from wavedet import (
     canonical_config_text,
     config_hash,
     experiment_check,
-    gap_table,
     harness,
     parse_config_text,
     run_experiment,
@@ -146,6 +145,8 @@ def test_config_validation():
         ("snr_max", float("nan")), ("sigma_n", -1.0), ("sigma_n", float("nan")),
         ("f_start", 0.7), ("f_end", 0.05), ("kkt_tolerance", -1.0), ("max_passes", 0),
         ("c_grid", ((1.0, 0.0),)), ("seed", -1),
+        # an Arabic-Indic digit five: int() reads it, the ASCII config hash cannot
+        ("family", "db\u0665"),
     ]
     for key, value in bad_fields:
         with pytest.raises(ValueError):
@@ -190,21 +191,17 @@ def test_rerun_is_byte_identical(mini_cfg, mini_run, tmp_path):
 
 
 def test_gap_table_contents(mini_run):
-    report, _ = mini_run
-    rows = gap_table(report)
-    assert len(rows) == len(report.labels) * len(report.config.snr_grid())
-    for r in rows:
-        assert r["gap"] == pytest.approx(r["pd_theory"] - r["pd_svm"])
-        assert 0.0 <= r["pd_baseline"] <= 1.0
-
-
-def test_gap_table_requires_complete_report(mini_run):
-    from dataclasses import replace
-
-    report, _ = mini_run
-    broken = replace(report, svm={k: v for k, v in report.svm.items() if k != "d3"})
-    with pytest.raises(ValueError):
-        gap_table(broken)
+    report, out = mini_run
+    lines = (out / "gaps.csv").read_text().splitlines()
+    start = lines.index("scale_set,snr_db,pd_theory,pd_svm,pd_baseline,gap") + 1
+    rows = [ln.split(",") for ln in lines[start:]]
+    grid = report.config.snr_grid()
+    assert [(r[0], float(r[1])) for r in rows] == [
+        (label, snr) for label in report.labels for snr in grid
+    ]
+    for _, _, pd_theory, pd_svm, pd_baseline, gap in rows:
+        assert float(gap) == float(pd_theory) - float(pd_svm)
+        assert 0.0 <= float(pd_baseline) <= 1.0
 
 
 def test_check_rejects_tampered_outputs(mini_run, tmp_path):
@@ -257,9 +254,25 @@ def _replace_in(pattern, old, new):
         paths = sorted(out.glob(pattern))
         assert paths
         for path in paths:
-            text = path.read_text()
-            assert old in text
-            path.write_text(text.replace(old, new, 1))
+            raw = path.read_bytes()
+            assert old.encode() in raw
+            path.write_bytes(raw.replace(old.encode(), new.encode(), 1))
+    return damage
+
+
+def _drop_last_row(name):
+    """Damage that deletes a curve file's last data row."""
+    def damage(out):
+        path = out / name
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    return damage
+
+
+def _append_to(name, text):
+    """Damage that appends ``text`` to a file."""
+    def damage(out):
+        with open(out / name, "a") as fh:
+            fh.write(text)
     return damage
 
 
@@ -269,17 +282,18 @@ def _replace_in(pattern, old, new):
     # the curve file itself stays well-formed; only gaps.csv disagrees with it
     (_zero_last_baseline_pd, "gaps.csv"),
     (lambda out: shutil.copy(out / "optimum_d4.det", out / "optimum_d3.det"),
-     "optimum_d3.det: layout"),
+     ("optimum_d3.det", "layout total")),
     (_set_curve_column("baseline_d3.csv", 4, "inf"), "baseline_d3.csv"),
     # well-formed curves whose trials or seed column is not the config's
     (_set_curve_column("baseline_d3.csv", 4, "7"), "baseline_d3.csv"),
     (_set_curve_column("svm_d3.csv", 5, "99"), "svm_d3.csv"),
     (_set_curve_column("theory_d3.csv", 4, "-5"), "theory_d3.csv"),
     # provenance lines that run_experiment writes and the check re-derives
-    (_replace_in("svm_d3.csv", "# kind=svm", "# kind=baseline"), "svm_d3.csv: kind"),
-    (_replace_in("svm_d3.csv", "# sigma_n=1.0", "# sigma_n=2.0"), "svm_d3.csv: sigma_n"),
-    (_replace_in("theory_d3.csv", "# scales=3", "# scales=4"), "theory_d3.csv: scales"),
-    (_replace_in("baseline_d4.csv", "# family=db5", "# family=db2"), "baseline_d4.csv: family"),
+    (_replace_in("svm_d3.csv", "# kind=svm", "# kind=baseline"), ("svm_d3.csv", "kind=baseline")),
+    (_replace_in("svm_d3.csv", "# sigma_n=1.0", "# sigma_n=2.0"), ("svm_d3.csv", "sigma_n=2.0")),
+    (_replace_in("theory_d3.csv", "# scales=3", "# scales=4"), ("theory_d3.csv", "scales=4")),
+    (_replace_in("baseline_d4.csv", "# family=db5", "# family=db2"),
+     ("baseline_d4.csv", "family=db2")),
     # SNR and Pfa columns: gaps.csv takes its SNRs from the theory curves only
     (_replace_in("svm_d3.csv", "\n-6.0,", "\n-7.0,"), "svm_d3.csv"),
     (_replace_in("svm_*.csv", "\n-6.0,", "\n-7.0,"), "svm_d3_4.csv"),
@@ -288,12 +302,32 @@ def _replace_in(pattern, old, new):
     # a failed check recorded above a final VALID line
     (_replace_in("checks.txt", "PASS decision-statistic-equivalence[d3]",
                  "FAIL decision-statistic-equivalence[d3]"), "checks.txt"),
+    # ids follow from the kind and scale set; provenance holds only the writer's lines
+    (_replace_in("svm_d3.csv", "# detector_id=svm-", "# detector_id=svm-9"),
+     ("svm_d3.csv", "detector_id=svm-9")),
+    (_replace_in("baseline_d3.csv", "# kind=baseline\n", "# kind=baseline\n# note=x\n"),
+     ("baseline_d3.csv", "note=x")),
+    (_replace_in("optimum_d3.det", "detector_id=optimum-", "detector_id=optimum-9"),
+     ("optimum_d3.det", "detector_id=optimum-9")),
+    # calibration fields the config fixes
+    (_replace_in("svm_d3.det", "cal_trials=10000;", "cal_trials=10001;"),
+     ("svm_d3.det", "cal_trials=10001")),
+    (_replace_in("svm_d3.det", "calibration=monte_carlo", "calibration=analytic"),
+     ("svm_d3.det", "calibration=analytic")),
+    (_replace_in("svm_d3.det", "rng=philox", "rng=mt19937-philox"), ("svm_d3.det", "rng=mt")),
+    # an SVM file that loads as a max-coefficient detector holds no weights
+    (_replace_in("svm_d3.det", "kind=linear", "kind=max-coeff"), ("svm_d3.det", "linear")),
+    (_drop_last_row("svm_d3.csv"), ("svm_d3.csv", "4 rows")),
+    (_append_to("config.txt", "# note\n"), ("config.txt", "# note")),
 ], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped",
         "baseline-trials-infinite", "baseline-trials-changed", "svm-seed-changed",
         "theory-trials-negative", "svm-kind-changed", "svm-sigma-changed",
         "theory-scales-changed", "baseline-family-changed", "svm-one-snr-changed",
         "every-svm-snr-changed", "baseline-pfa-changed", "theory-pfa-changed",
-        "checks-fail-line"])
+        "checks-fail-line", "svm-curve-id-changed", "baseline-note-added",
+        "optimum-detector-id-changed", "svm-cal-trials-changed", "svm-calibration-analytic",
+        "svm-rng-changed", "svm-kind-max-coeff", "svm-last-row-deleted",
+        "config-comment-added"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run
     bad = tmp_path / "damaged"
@@ -301,7 +335,10 @@ def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     damage(bad)
     ok, messages = experiment_check(str(bad))
     assert not ok
-    assert any(m.startswith("FAIL") and named in m for m in messages), messages
+    # each named piece (the file, and the damaged text where the check shows it)
+    # appears in one FAIL line
+    named = (named,) if isinstance(named, str) else named
+    assert any(m.startswith("FAIL") and all(n in m for n in named) for m in messages), messages
 
 
 def test_theory_curves_dominate_subsets(mini_run):

@@ -22,7 +22,7 @@ def test_optimum_is_normalized_template(pipe34, pulse256, noise):
     np.testing.assert_allclose(det.a[mask], s / np.linalg.norm(s), atol=1e-14)
     # transient positions carry no weight
     assert np.all(det.a[~mask] == 0.0)
-    assert det.detector_id == "optimum-3_4"
+    assert det.detector_id == "optimum-d3_4"
     assert det.calibration.method == "analytic"
 
 

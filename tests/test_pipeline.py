@@ -206,5 +206,5 @@ def test_pipe_rejects_wrong_template_length(pipe34, noise):
     short = make_chirp(128)
     with pytest.raises(ValueError):
         pipe34.details_of(short)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pulse length 128 .* signal length 256"):
         pipe34.obs_steady(short, 0.0, noise, 8, seed=1)

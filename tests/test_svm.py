@@ -186,7 +186,7 @@ def test_decision_matches_detector_statistic(pulse256, pipe34, db5, noise):
     a = embed_weights(model)
     np.testing.assert_array_equal(det.a, a)
     assert det.calibration.method == "monte_carlo"
-    assert det.detector_id == "svm-3_4"
+    assert det.detector_id == "svm-d3_4"
 
 
 def test_calibrated_bias_hits_target_pfa(pulse256, pipe34, db5, noise):
