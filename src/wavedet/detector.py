@@ -7,9 +7,10 @@ sigma_v = sigma_n * ||a_steady||, because the periodic orthonormal filter
 bank maps white noise to white coefficients; under pulse-plus-noise the
 mean shifts by amplitude(snr) * <a, d_template> over the same index set.
 Both the analytic model built on that fact and seeded Monte Carlo
-estimators are provided, plus the max-absolute-coefficient baseline whose
-threshold has no Gaussian closed form and is always calibrated by Monte
-Carlo.
+estimators are provided, plus the max-absolute-coefficient baseline.  The
+baseline's threshold has a closed form under the same model, Pfa = 1 -
+(1 - 2 Q(t / sigma_n))^d over d steady coefficients, but it is calibrated
+by Monte Carlo by choice.
 """
 
 from __future__ import annotations
@@ -126,13 +127,17 @@ class LinearDetector:
                 f"{self.layout.total_length}"
             )
         _check_detector(self)
-        if not np.any(a[self.layout.steady_mask()]):
+        steady = a[self.layout.steady_mask()]
+        if not np.any(steady):
             raise ValueError("a must have a non-zero entry within the steady ranges")
-        a.flags.writeable = False
+        for arr in (a, steady):
+            arr.flags.writeable = False
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_steady_a", steady)
 
     def steady_a(self) -> np.ndarray:
-        return self.a[self.layout.steady_mask()]
+        """Read-only weights at the steady indices, gathered at construction."""
+        return self._steady_a
 
 
 @dataclass(frozen=True)
@@ -214,9 +219,8 @@ def _require_layout(what: str, layout: ScaleLayout, det_layout: ScaleLayout) -> 
 def statistic(d: DetailCoefficients, det: LinearDetector) -> float:
     """Inner product of a and d over the steady ranges."""
     _require_layout("coefficient", d.layout, det.layout)
-    mask = det.layout.steady_mask()
     tally_madds(det.layout.steady_length)
-    return float(det.a[mask] @ d.values[mask])
+    return float(det.steady_a() @ d.steady_values())
 
 
 def _max_abs(F: np.ndarray) -> np.ndarray:

@@ -68,6 +68,11 @@ _DEFAULT_C_GRID = tuple(
 # substream purposes hanging off the root seed
 _P_TRAIN, _P_TUNE, _P_SVMCURVE, _P_BASECAL, _P_BASECURVE, _P_VTMC, _P_CHECKOBS = range(1, 8)
 
+# the fit fields that run_experiment appends to an svm_<label>.det header, in
+# order; experiment check reads back these and no others
+_SVM_FIT_FIELDS = ("c_plus", "c_minus", "kkt_tolerance", "converged", "support_count",
+                   "alpha_sum", "alpha_max")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -324,17 +329,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
                             _provenance(cfg, chash, b, kind))
         write_detector(os.path.join(out_dir, f"optimum_{label}.det"), det_opt,
                        cfg.family, cfg.length)
-        write_detector(
-            os.path.join(out_dir, f"svm_{label}.det"), det_svm, cfg.family, cfg.length,
-            extras={
-                "c_plus": repr(model.c_plus), "c_minus": repr(model.c_minus),
-                "kkt_tolerance": repr(model.kkt_tolerance),
-                "converged": str(model.converged),
-                "support_count": str(model.support_count),
-                "alpha_sum": repr(float(np.sum(model.alphas))),
-                "alpha_max": repr(float(np.max(model.alphas))),
-            },
-        )
+        fit = (repr(model.c_plus), repr(model.c_minus), repr(model.kkt_tolerance),
+               str(model.converged), str(model.support_count),
+               repr(float(np.sum(model.alphas))), repr(float(np.max(model.alphas))))
+        write_detector(os.path.join(out_dir, f"svm_{label}.det"), det_svm, cfg.family,
+                       cfg.length, extras=dict(zip(_SVM_FIT_FIELDS, fit, strict=True)))
 
     checks.extend(_structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]))
     report = ExperimentReport(config=cfg, config_hash=chash, labels=labels, **curves,
@@ -475,10 +474,11 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     fixes (provenance, id, Pfa, SNR grid, trials, seeds, layout, family,
     calibration) and what only the run could measure, read back from the
     file itself (Pd and stderr columns; weights, threshold, the SVM
-    calibration seed and fit extras).  The curves must pass the dominance
-    and ceiling checks that run_experiment applies, gaps.csv must be the
-    table rendered from them and config.txt its own canonical text, and
-    checks.txt must record no FAIL and end in VALID.
+    calibration seed and the fit fields other than kkt_tolerance).  The
+    curves must pass the dominance and ceiling checks that run_experiment
+    applies, gaps.csv must be the table rendered from them and config.txt
+    its own canonical text, and checks.txt must record no FAIL and end in
+    VALID.
     """
     messages = []
 
@@ -538,11 +538,18 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                        Calibration("monte_carlo", cfg.cal_trials, fitted.calibration.seed, RNG_ID))
                 det = LinearDetector(fitted.a, layout, fitted.v_threshold, cfg.pfa, cal,
                                      f"{kind}-{label}")
+                fit = None
+                if kind == "svm":
+                    lacking = [k for k in _SVM_FIT_FIELDS if k not in extras]
+                    if lacking:
+                        raise ValueError(f"header lacks the fit fields {', '.join(lacking)}")
+                    # the config fixes kkt_tolerance; only the fit measured the others
+                    fit = {k: extras[k] for k in _SVM_FIT_FIELDS}
+                    fit["kkt_tolerance"] = repr(cfg.kkt_tolerance)
             except (OSError, ValueError) as e:
                 fail(f"cannot check {path}: {e}")
                 continue
-            compare(path, _detector_bytes(det, cfg.family, cfg.length,
-                                          extras if kind == "svm" else None))
+            compare(path, _detector_bytes(det, cfg.family, cfg.length, fit))
     # only a full set of rebuilt curves yields the structural checks and gaps.csv
     if all(len(by_label) == len(labels) for by_label in curves.values()):
         for c in _structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]):

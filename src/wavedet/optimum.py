@@ -24,13 +24,12 @@ def optimum_a(
 ) -> LinearDetector:
     """Deflection-maximising unit-norm coefficients with analytic threshold."""
     layout = pulse_details.layout
-    mask = layout.steady_mask()
-    s = pulse_details.values[mask]
+    s = pulse_details.steady_values()
     nrm = float(np.linalg.norm(s))
     if nrm == 0.0:
         raise ValueError("template has no energy on the steady ranges of these scales")
     a = np.zeros(layout.total_length)
-    a[mask] = s / nrm
+    a[layout.steady_mask()] = s / nrm
     vt = threshold_for_pfa_analytic(a, layout, model, target_pfa)
     return LinearDetector(
         a=a,

@@ -22,14 +22,16 @@ the L2 cache.  Successive draws from one substream continue it, so the
 blocks realise exactly the rows a single whole-chunk draw would.
 
 The calling thread draws each block's integers from the chunk's substream,
-in order; ``Generator.integers`` holds the GIL, so it gains nothing from
-threads.  Each stream has its own workers, at most one per usable CPU,
-which do the rest of each block (inverse CDF, signal, pyramid; all release
-the GIL) into the block's rows of the chunk; the stream joins them before
-it returns or raises.  At most one block per worker is in flight.  Once
-every block of a chunk has settled, the calling thread re-raises the first
-worker error, or applies the statistic to the whole chunk, so the values
-do not depend on which thread transformed which block.
+in order.  ``Generator.integers`` releases the GIL, but a generator's lock
+serialises its draws, and each block must continue the substream where the
+previous block left it, so a chunk's draws stay on one thread.  Each stream
+has its own workers, at most one per usable CPU, which do the rest of each
+block (inverse CDF, signal, pyramid; all release the GIL) into the block's
+rows of the chunk; the stream joins them before it returns or raises.  At
+most one block per worker is in flight.  Once every block of a chunk has
+settled, the calling thread re-raises the first worker error, or applies
+the statistic to the whole chunk, so the values do not depend on which
+thread transformed which block.
 """
 
 from __future__ import annotations

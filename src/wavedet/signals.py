@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import chirp as _scipy_chirp
 
 from .rng import normal, substream
 from .wavelet import _require_pow2
@@ -119,7 +118,11 @@ def make_chirp(length: int, f_start: float = 0.05, f_end: float = 0.45) -> Sampl
     _require_pow2(length)
     _check_band(f_start, f_end)
     t = np.arange(length, dtype=np.float64)
-    x = _scipy_chirp(t, f0=f_start, t1=float(length - 1), f1=f_end, method="linear")
+    # scipy.signal.chirp's linear phase, written out so that importing the
+    # package does not load scipy.signal
+    f0, f1 = float(f_start), float(f_end)
+    beta = (f1 - f0) / float(length - 1)
+    x = np.cos(2 * np.pi * (f0 * t + 0.5 * beta * t * t))
     x = x / math.sqrt(float(np.mean(x * x)))
     return SampledSignal(samples=x, hypothesis=Hypothesis.TEMPLATE)
 

@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "WaveletFilterPair",
@@ -127,6 +126,16 @@ class WaveletFilterPair:
     @property
     def length(self) -> int:
         return int(self.h.shape[0])
+
+    # built on first use rather than in __post_init__, so that parse_family,
+    # which every ExperimentConfig calls, does not pay for it
+    @cached_property
+    def _reversed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only contiguous (h[::-1], g[::-1]): the taps in the order a window meets them."""
+        out = tuple(np.ascontiguousarray(f[::-1]) for f in (self.h, self.g))
+        for f in out:
+            f.flags.writeable = False
+        return out
 
 
 def db_filters(order: int) -> WaveletFilterPair:
@@ -244,8 +253,13 @@ class DetailCoefficients:
             raise ValueError(
                 f"values length {v.shape} does not match layout total {self.layout.total_length}"
             )
-        v.flags.writeable = False
+        # every detector of an observation reads the steady values, so they
+        # are gathered once, here
+        steady = v[self.layout.steady_mask()]
+        for arr in (v, steady):
+            arr.flags.writeable = False
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_steady", steady)
 
     def segment(self, scale: int) -> np.ndarray:
         k = self.layout.scales.index(scale)
@@ -253,7 +267,8 @@ class DetailCoefficients:
         return self.values[off : off + self.layout.seg_lengths[k]]
 
     def steady_values(self) -> np.ndarray:
-        return self.values[self.layout.steady_mask()]
+        """Read-only values at the steady indices, gathered at construction."""
+        return self._steady
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +318,14 @@ def _require_pow2(n: int) -> None:
         raise ValueError(f"signal length must be a power of two >= 2, got {n}")
 
 
-def _filter_down(X: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _filter_down(X: np.ndarray, f_rev: np.ndarray) -> np.ndarray:
     """Circular convolution with f followed by keep-even decimation.
 
-    X is (batch, M) with M even; output is (batch, M//2) where
-    out[b, k] = sum_j f[j] * X[b, (2k - j) mod M].
+    X is (batch, M) with M even and f_rev is f reversed, contiguous; output
+    is (batch, M//2) where out[b, k] = sum_j f[j] * X[b, (2k - j) mod M].
     """
     B, M = X.shape
-    L = f.shape[0]
+    L = f_rev.shape[0]
     if M % 2:
         raise ValueError(f"cannot decimate odd length {M}")
     # periodic prefix of L-1 columns; modular indexing handles L - 1 > M
@@ -320,12 +335,12 @@ def _filter_down(X: np.ndarray, f: np.ndarray) -> np.ndarray:
         prefix = X[:, np.arange(M - (L - 1), M) % M]
     Xp = np.concatenate([prefix, X], axis=1)
     # window k reads Xp[:, 2k : 2k + L]; the last (k = M/2 - 1) ends at
-    # column M + L - 3 of the M + L - 1 that Xp holds
+    # column M + L - 3 of the M + L - 1 that Xp holds.  The ndarray
+    # constructor rejects a view that would overrun Xp's buffer.
     row, col = Xp.strides
-    windows = as_strided(Xp, shape=(B, M // 2, L), strides=(row, 2 * col, col),
-                         writeable=False)
+    windows = np.ndarray((B, M // 2, L), Xp.dtype, Xp, 0, (row, 2 * col, col))
     tally_madds(B * (M // 2) * L)
-    return windows @ np.ascontiguousarray(f[::-1])
+    return windows @ f_rev
 
 
 def pyramid_batch(
@@ -347,10 +362,11 @@ def pyramid_batch(
     lowest = int(min_level)
     if not 1 <= lowest <= levels:
         raise ValueError(f"min_level {min_level} out of range 1..{levels}")
+    h_rev, g_rev = filters._reversed
     approx = X
     details: list[np.ndarray] = []
     for level in range(1, levels + 1):
         if level >= lowest:
-            details.append(_filter_down(approx, filters.g))
-        approx = _filter_down(approx, filters.h)
+            details.append(_filter_down(approx, g_rev))
+        approx = _filter_down(approx, h_rev)
     return approx, details

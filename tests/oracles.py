@@ -1,6 +1,7 @@
 """Test-only oracles: independent re-derivations the package is checked against."""
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from wavedet.rng import normal, substream
 
@@ -110,3 +111,34 @@ def reference_smo(X, y, c_plus, c_minus, kkt_tolerance, max_passes):
         if converged:
             break
     return beta, 0.5 * (m + m_low), converged, n_passes, tuple(history)
+
+
+def _reference_filter_down(X, f):
+    """One pyramid stage as it stood before its window view dropped ``as_strided``.
+
+    Frozen as written then: the view comes from ``as_strided`` and the filter
+    is reversed at every stage.
+    """
+    B, M = X.shape
+    L = f.shape[0]
+    if L - 1 <= M:
+        prefix = X[:, M - (L - 1):]
+    else:
+        prefix = X[:, np.arange(M - (L - 1), M) % M]
+    Xp = np.concatenate([prefix, X], axis=1)
+    row, col = Xp.strides
+    windows = as_strided(Xp, shape=(B, M // 2, L), strides=(row, 2 * col, col),
+                         writeable=False)
+    return windows @ np.ascontiguousarray(f[::-1])
+
+
+def reference_pyramid(X, filters, max_level, min_level=1):
+    """``wavedet.wavelet.pyramid_batch`` built from the frozen stage; it must
+    give the same bytes.  Returns (approximation, [d_min .. d_max])."""
+    approx = np.asarray(X, dtype=np.float64)
+    details = []
+    for level in range(1, max_level + 1):
+        if level >= min_level:
+            details.append(_reference_filter_down(approx, filters.g))
+        approx = _reference_filter_down(approx, filters.h)
+    return approx, details

@@ -86,6 +86,21 @@ def test_statistic_is_steady_inner_product(pipe34, pulse256, noise):
     assert v == pytest.approx(expected, abs=1e-12)
 
 
+def test_steady_gathers_are_read_only_mask_gathers(pipe34, pulse256, noise):
+    d = pipe34.details_of(pulse256)
+    det = optimum_a(d, 1e-3, noise)
+    mask = pipe34.layout.steady_mask()
+    for got, full in ((d.steady_values(), d.values), (det.steady_a(), det.a)):
+        assert got.tobytes() == full[mask].tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    # gathered once per object, not once per call
+    assert d.steady_values() is d.steady_values()
+    assert det.steady_a() is det.steady_a()
+    assert statistic(d, det) == float(det.a[mask] @ d.values[mask])
+
+
 def test_statistic_rejects_wrong_layout(db5, pulse256, noise):
     from wavedet import FeaturePipe
 

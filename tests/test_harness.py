@@ -315,6 +315,12 @@ def _append_to(name, text):
     (_replace_in("svm_d3.det", "calibration=monte_carlo", "calibration=analytic"),
      ("svm_d3.det", "calibration=analytic")),
     (_replace_in("svm_d3.det", "rng=philox", "rng=mt19937-philox"), ("svm_d3.det", "rng=mt")),
+    # SVM fit fields: only the writer's names, and the config's kkt_tolerance
+    (_replace_in("svm_d3.det", "\n", "; note=x\n"), ("svm_d3.det", "note=x")),
+    (_replace_in("svm_d3.det", "kkt_tolerance=0.001;", "kkt_tolerance=0.5;"),
+     ("svm_d3.det", "kkt_tolerance=0.5")),
+    (_replace_in("svm_d3.det", "; support_count=", "; supportcount="),
+     ("svm_d3.det", "support_count")),
     # an SVM file that loads as a max-coefficient detector holds no weights
     (_replace_in("svm_d3.det", "kind=linear", "kind=max-coeff"), ("svm_d3.det", "linear")),
     (_drop_last_row("svm_d3.csv"), ("svm_d3.csv", "4 rows")),
@@ -326,7 +332,8 @@ def _append_to(name, text):
         "every-svm-snr-changed", "baseline-pfa-changed", "theory-pfa-changed",
         "checks-fail-line", "svm-curve-id-changed", "baseline-note-added",
         "optimum-detector-id-changed", "svm-cal-trials-changed", "svm-calibration-analytic",
-        "svm-rng-changed", "svm-kind-max-coeff", "svm-last-row-deleted",
+        "svm-rng-changed", "svm-fit-note-added", "svm-kkt-tolerance-changed",
+        "svm-fit-field-missing", "svm-kind-max-coeff", "svm-last-row-deleted",
         "config-comment-added"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,6 +36,31 @@ def test_chirp_sweeps_the_requested_band():
     f_late = 0.5 / np.mean(np.diff(late))
     assert 0.03 < f_early < 0.09
     assert 0.40 < f_late < 0.50
+
+
+@pytest.mark.parametrize("f_start, f_end", [(0.05, 0.45), (0.45, 0.05), (0.1, 0.2),
+                                             (0.001, 0.499)])
+def test_chirp_matches_scipy_bytes(f_start, f_end):
+    from scipy.signal import chirp
+
+    for log_n in range(3, 17):
+        n = 2**log_n
+        t = np.arange(n, dtype=np.float64)
+        x = chirp(t, f0=f_start, t1=float(n - 1), f1=f_end, method="linear")
+        x = x / math.sqrt(float(np.mean(x * x)))
+        assert make_chirp(n, f_start, f_end).samples.tobytes() == x.tobytes()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    import wavedet
+
+    # the fresh interpreter imports the same package as this one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavedet.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, wavedet; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_chirp_rejects_bad_frequencies():

@@ -28,6 +28,7 @@ from wavedet import (
     parse_family,
     pyramid_batch,
 )
+from oracles import reference_pyramid
 from wavedet.rng import CHUNK
 from wavedet.wavelet import WaveletFilterPair, tally_madds
 
@@ -135,6 +136,25 @@ def test_multilevel_matches_repeated_matrix_application(rng):
         np.testing.assert_allclose(details[lvl], cur @ G.T, rtol=0, atol=1e-10)
         cur = cur @ H.T
     np.testing.assert_allclose(approx, cur, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+@pytest.mark.parametrize("n, max_level, min_level", [
+    (16, 4, 1),     # db10's L - 1 = 19 reaches round the 16-sample rows
+    (256, 5, 3),
+    (1024, 6, 3),   # the benchmarks' scales 3..6
+])
+def test_pyramid_matches_the_frozen_strided_stage(order, n, max_level, min_level, rng):
+    """The window view must round exactly as the as_strided one did."""
+    f = db_filters(order)
+    for batch in (1, 7, 128):
+        x = rng.standard_normal((batch, n))
+        got_a, got_d = pyramid_batch(x, f, max_level, min_level)
+        ref_a, ref_d = reference_pyramid(x, f, max_level, min_level)
+        assert len(got_d) == len(ref_d) == max_level - min_level + 1
+        for got, ref in zip([got_a, *got_d], [ref_a, *ref_d]):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_stage_matrix_rows_are_orthonormal():
