@@ -37,7 +37,7 @@ from .harness import (
     run_experiment,
 )
 from .optimum import optimum_a
-from .pipeline import FeaturePipe, layout_for_scales
+from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed, substream
 from .signals import (
     Hypothesis,
@@ -80,7 +80,7 @@ __all__ = [
     "config_hash", "experiment_check", "parse_config_text",
     "run_experiment",
     "optimum_a",
-    "FeaturePipe", "layout_for_scales",
+    "FeaturePipe",
     "RNG_ID", "derive_seed", "substream",
     "Hypothesis", "NoiseModel", "SampledSignal", "amplitude", "make_chirp",
     "make_noise", "make_observation",

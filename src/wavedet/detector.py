@@ -25,7 +25,7 @@ from scipy.special import erfc, ndtri
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, SampledSignal, amplitude
-from .wavelet import DetailCoefficients, ScaleLayout, _set_label, tally_madds
+from .wavelet import DetailCoefficients, ScaleLayout, _detector_id, tally_madds
 
 __all__ = [
     "qfunc",
@@ -381,7 +381,7 @@ def calibrate_max_coeff(
         v_threshold=vt,
         target_pfa=float(target_pfa),
         calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed), rng_id=RNG_ID),
-        detector_id="baseline-" + _set_label(pipe.layout.scales),
+        detector_id=_detector_id("baseline", pipe.layout.scales),
     )
 
 

@@ -43,11 +43,12 @@ from .io import (
     write_detector,
 )
 from .optimum import optimum_a
-from .pipeline import FeaturePipe, layout_for_scales
+from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, _check_band, make_chirp, make_observation
 from .svm import SvmModel, _check_smo_args, build_training_set, decision, tune_c_for_pfa
-from .wavelet import _require_pow2, _set_label, parse_family
+from .wavelet import (ScaleLayout, _check_scales, _detector_id, _require_pow2, _set_label,
+                      parse_family)
 
 __all__ = [
     "ExperimentConfig",
@@ -105,19 +106,17 @@ class ExperimentConfig:
         filters = parse_family(self.family)
         N = n.bit_length() - 1
         sets = tuple(tuple(int(s) for s in b) for b in self.scale_sets)
-        if not sets or any(not b for b in sets):
-            raise ValueError("scale_sets must be a non-empty list of non-empty sets")
+        if not sets:
+            raise ValueError("scale_sets must be non-empty")
         if len({_set_label(b) for b in sets}) != len(sets):
             raise ValueError("scale_sets contains duplicates")
         for b in sets:
-            for s in b:
-                if not 1 <= s <= N:
-                    raise ValueError(f"scale {s} out of range for length {n}")
-                if 2 ** (N - s) <= filters.length:
-                    raise ValueError(
-                        f"scale {s} leaves no steady coefficients: "
-                        f"2^({N}-{s}) <= filter length {filters.length}"
-                    )
+            _check_scales(b, n)
+            # the deepest scale has the fewest coefficients
+            s = max(b)
+            if 2 ** (N - s) <= filters.length:
+                raise ValueError(f"scale {s} leaves no steady coefficients: "
+                                 f"2^({N}-{s}) <= filter length {filters.length}")
         object.__setattr__(self, "scale_sets", sets)
         object.__setattr__(self, "c_grid", tuple((float(a), float(m)) for a, m in self.c_grid))
         _check_band(self.f_start, self.f_end)
@@ -263,8 +262,7 @@ def _provenance(
 
 
 def _theory_curve(
-    pulse_details, det: LinearDetector, model: NoiseModel, grid, label: str,
-    trials: int, seed: int,
+    pulse_details, det: LinearDetector, model: NoiseModel, grid, trials: int, seed: int,
 ) -> DetectionCurve:
     points = []
     for snr in grid:
@@ -273,7 +271,7 @@ def _theory_curve(
     return DetectionCurve(
         pfa=det.target_pfa,
         points=tuple(points),
-        detector_id=f"theory-{label}",
+        detector_id=_detector_id("theory", det.layout.scales),
         trials_per_point=trials,
         seed=seed,
     )
@@ -299,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         plans = _curve_plans(cfg, bi)
 
         det_opt = optimum_a(pulse_details, cfg.pfa, noise)
-        curves["theory"][label] = _theory_curve(pulse_details, det_opt, noise, grid, label,
+        curves["theory"][label] = _theory_curve(pulse_details, det_opt, noise, grid,
                                                 *plans["theory"])
 
         ts = build_training_set(
@@ -521,13 +519,13 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                 if len(measured.points) != len(grid):
                     raise ValueError(f"{len(measured.points)} rows, the SNR grid has {len(grid)}")
                 points = tuple((snr, pd, se) for snr, (_, pd, se) in zip(grid, measured.points))
-                curve = DetectionCurve(cfg.pfa, points, f"{kind}-{label}", *plans[kind])
+                curve = DetectionCurve(cfg.pfa, points, _detector_id(kind, b), *plans[kind])
             except (OSError, ValueError) as e:
                 fail(f"cannot check {path}: {e}")
                 continue
             by_label[label] = curve
             compare(path, _curve_csv_bytes(curve, _provenance(cfg, chash, b, kind)))
-        layout = layout_for_scales(cfg.length, filters, b)
+        layout = ScaleLayout(b, cfg.length, filters.length)
         for kind in ("optimum", "svm"):
             path = os.path.join(out_dir, f"{kind}_{label}.det")
             try:
@@ -537,7 +535,7 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                 cal = (Calibration("analytic") if kind == "optimum" else
                        Calibration("monte_carlo", cfg.cal_trials, fitted.calibration.seed, RNG_ID))
                 det = LinearDetector(fitted.a, layout, fitted.v_threshold, cfg.pfa, cal,
-                                     f"{kind}-{label}")
+                                     _detector_id(kind, b))
                 fit = None
                 if kind == "svm":
                     lacking = [k for k in _SVM_FIT_FIELDS if k not in extras]

@@ -5,7 +5,11 @@ semicolon-separated ``key=value`` fields, a newline, then the payload as
 little-endian 64-bit floats.  Curves are plain CSV with ``#`` provenance
 comments.  All floats are written with ``repr`` so that values round-trip
 exactly and repeated runs produce byte-identical files.  A coefficient or
-detector file's ``signal_length`` must be the one its layout implies.
+detector file's ``segment_bounds`` and ``steady_starts`` are derived from its
+``scales``, ``signal_length`` and ``family``: a writer rejects a signal
+length or family that its layout was not built for, and a reader rebuilds
+the layout from those three fields and rejects a file whose stored shape
+differs.
 Writes go through a temporary file and an atomic rename, so readers never
 observe partial artifacts.  Curve and detector bytes each have one
 renderer, which ``experiment check`` also uses to compare a stored file
@@ -22,7 +26,7 @@ import numpy as np
 
 from .detector import Calibration, DetectionCurve, LinearDetector, MaxCoeffDetector
 from .signals import Hypothesis, SampledSignal
-from .wavelet import DetailCoefficients, ScaleLayout
+from .wavelet import DetailCoefficients, ScaleLayout, parse_family
 
 _SIGNAL_TAG = "wavedet-signal v1"
 _COEFFS_TAG = "wavedet-coeffs v1"
@@ -58,11 +62,12 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def _header_line(tag: str, fields: Mapping[str, str]) -> bytes:
-    parts = [tag] + [f"{k}={v}" for k, v in fields.items()]
-    line = "; ".join(parts)
-    if "\n" in line:
-        raise ValueError("header fields must not contain newlines")
-    return (line + "\n").encode("ascii")
+    parts = [f"{k}={v}" for k, v in fields.items()]
+    for k, part in zip(fields, parts):
+        if "=" in k or "; " in part or "\n" in part:
+            raise ValueError(f"header field {part!r} would not read back: '; ' and newlines "
+                             "split fields, and '=' ends a key")
+    return ("; ".join([tag, *parts]) + "\n").encode("ascii")
 
 
 def _split_header(
@@ -78,8 +83,8 @@ def _split_header(
     fields: dict[str, str] = {}
     for part in parts[1:]:
         k, sep, v = part.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: malformed header field {part!r}")
+        if not sep or k in fields:
+            raise ValueError(f"{path}: malformed or repeated header field {part!r}")
         fields[k] = v
     for k in required:
         if k not in fields:
@@ -135,15 +140,14 @@ def read_signal(path: str) -> SampledSignal:
 
 # -- layouts and coefficient vectors ----------------------------------------
 
-def _check_signal_length(layout: ScaleLayout, signal_length: int, path: str) -> None:
+def _layout_fields(layout: ScaleLayout, family: str, signal_length: int, path: str) -> dict:
+    """Header fields of a layout, and of the family and signal length it was built for."""
     if signal_length != layout.source_length:
         raise ValueError(f"{path}: signal_length {signal_length} is not the layout's "
                          f"source length {layout.source_length}")
-
-
-def _layout_fields(layout: ScaleLayout, family: str, signal_length: int, path: str) -> dict:
-    """Header fields of a layout, its family and the signal length it implies."""
-    _check_signal_length(layout, signal_length, path)
+    if parse_family(family).length != layout.filter_length:
+        raise ValueError(f"{path}: family {family} does not have the layout's filter "
+                         f"length {layout.filter_length}")
     return {
         "scales": ",".join(str(s) for s in layout.scales),
         "segment_bounds": ",".join(
@@ -156,17 +160,16 @@ def _layout_fields(layout: ScaleLayout, family: str, signal_length: int, path: s
 
 
 def _layout_from_fields(fields: Mapping[str, str], path: str) -> ScaleLayout:
-    scales = tuple(int(s) for s in fields["scales"].split(","))
-    bounds = [tuple(int(v) for v in b.split(":")) for b in fields["segment_bounds"].split(",")]
-    starts = tuple(int(t) for t in fields["steady_starts"].split(","))
-    layout = ScaleLayout(
-        scales=scales,
-        seg_lengths=tuple(m for _, m in bounds),
-        steady_starts=starts,
-    )
-    if tuple(off for off, _ in bounds) != layout.offsets:
-        raise ValueError(f"{path}: segment_bounds offsets are not contiguous")
-    _check_signal_length(layout, int(fields["signal_length"]), path)
+    """The layout that scales, signal_length and family imply; the stored shape must match it."""
+    family, n = fields["family"], int(fields["signal_length"])
+    layout = ScaleLayout(tuple(int(s) for s in fields["scales"].split(",")), n,
+                         parse_family(family).length)
+    derived = _layout_fields(layout, family, n, path)
+    for key in ("segment_bounds", "steady_starts"):
+        if fields[key] != derived[key]:
+            raise ValueError(f"{path}: {key}={fields[key]} is not the {derived[key]} that "
+                             f"scales={fields['scales']}, signal_length={n} and "
+                             f"family={family} imply")
     return layout
 
 
@@ -286,7 +289,11 @@ def _curve_csv_bytes(curve: DetectionCurve, provenance: Mapping[str, str]) -> by
     prov.setdefault("detector_id", curve.detector_id)
     prov.setdefault("rng", curve.rng_id)
     for k in sorted(prov):
-        lines.append(f"# {k}={prov[k]}")
+        line = f"# {k}={prov[k]}"
+        if "=" in k or "\n" in line or "\r" in line:
+            raise ValueError(f"provenance line {line!r} would not read back: a line break "
+                             "splits it, and '=' ends a key")
+        lines.append(line)
     lines.append(_CURVE_COLUMNS)
     for snr, pd, se in curve.points:
         lines.append(

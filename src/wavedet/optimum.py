@@ -14,7 +14,7 @@ import numpy as np
 
 from .detector import Calibration, LinearDetector, threshold_for_pfa_analytic
 from .signals import NoiseModel
-from .wavelet import DetailCoefficients, _set_label
+from .wavelet import DetailCoefficients, _detector_id
 
 
 def optimum_a(
@@ -37,5 +37,5 @@ def optimum_a(
         v_threshold=vt,
         target_pfa=float(target_pfa),
         calibration=Calibration("analytic"),
-        detector_id="optimum-" + _set_label(layout.scales),
+        detector_id=_detector_id("optimum", layout.scales),
     )

@@ -1,8 +1,8 @@
 """Batched signal-to-feature pipeline and the one Monte Carlo stream.
 
-A FeaturePipe fixes a filter pair and a scale layout, which implies the
-signal length, and turns raw sample batches into concatenated detail
-vectors or their steady-range restrictions.  Monte Carlo streams are
+A FeaturePipe fixes a filter pair and a scale layout built for the pair's
+filter length, which implies the signal length, and turns raw sample
+batches into concatenated detail vectors or their steady-range restrictions.  Monte Carlo streams are
 chunked: trial t always lands in chunk t // CHUNK with substream path
 (*path, chunk), so the
 realisation of trial t depends only on (seed, path, t), never on how many
@@ -46,8 +46,7 @@ import numpy as np
 
 from .rng import chunk_bounds, normal_from_ints, normal_ints, substream
 from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
-from .wavelet import (DetailCoefficients, ScaleLayout, WaveletFilterPair, _require_pow2,
-                      pyramid_batch)
+from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid_batch
 
 # samples per block of a Monte Carlo chunk: 2^17 float64 values are 1 MB
 BLOCK_SAMPLES = 2**17
@@ -60,49 +59,31 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def layout_for_scales(
-    length: int, filters: WaveletFilterPair, scales: Sequence[int]
-) -> ScaleLayout:
-    """Layout of the concatenated detail vector for ``scales`` of a 2^N signal.
-
-    Scale i has 2^(N-i) coefficients.  Its steady_start is the filter length
-    L, clamped to the segment length when the scale is too deep to have any
-    steady coefficients (such a scale cannot back a detector, but its values
-    still satisfy Parseval).
-    """
-    n = int(length)
-    _require_pow2(n)
-    N = n.bit_length() - 1
-    if not scales:
-        raise ValueError("scale set must be non-empty")
-    if any(not 1 <= int(s) <= N for s in scales):
-        raise ValueError(f"scales {tuple(scales)} out of range for length {n}")
-    lengths = tuple(2 ** (N - int(s)) for s in scales)
-    starts = tuple(min(filters.length, m) for m in lengths)
-    return ScaleLayout(scales=tuple(int(s) for s in scales), seg_lengths=lengths,
-                       steady_starts=starts)
-
-
 @dataclass(frozen=True)
 class FeaturePipe:
-    """Filter pair + detail layout, with batch transforms; the layout fixes the length."""
+    """Filter pair + a layout built for its filter length, with batch transforms.
+
+    The layout fixes the signal length, and its steady ranges exclude every
+    coefficient that the filters' boundary reaches.
+    """
 
     filters: WaveletFilterPair
     layout: ScaleLayout
+
+    def __post_init__(self) -> None:
+        if self.layout.filter_length != self.filters.length:
+            raise ValueError(f"layout built for filter length {self.layout.filter_length}, "
+                             f"but {self.filters.family_name} has length {self.filters.length}")
 
     @classmethod
     def for_scales(
         cls, length: int, filters: WaveletFilterPair, scales: Sequence[int]
     ) -> "FeaturePipe":
-        return cls(filters=filters, layout=layout_for_scales(length, filters, scales))
+        return cls(filters=filters, layout=ScaleLayout(scales, length, filters.length))
 
     @property
     def length(self) -> int:
         return self.layout.source_length
-
-    @property
-    def steady_dim(self) -> int:
-        return self.layout.steady_length
 
     def transform_batch(self, X: np.ndarray) -> np.ndarray:
         """Concatenated detail values, one row per input row."""
@@ -142,7 +123,7 @@ class FeaturePipe:
         """
         stat = stat or (lambda F: F)
         # the statistic of an empty chunk fixes the shape and type of the values
-        v = stat(np.empty((0, self.steady_dim), order="F"))
+        v = stat(np.empty((0, self.layout.steady_length), order="F"))
         out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
         rows = max(1, BLOCK_SAMPLES // self.length)
         n = _worker_count()
@@ -160,7 +141,7 @@ class FeaturePipe:
                 rng = substream(seed, (*path, c))
                 # column-major like steady_batch's masked result, so that a
                 # statistic such as F @ a runs the same BLAS kernel and rounds the same
-                F = np.empty((stop - start, self.steady_dim), order="F")
+                F = np.empty((stop - start, self.layout.steady_length), order="F")
                 blocks: list[Future] = []
                 for i in range(0, stop - start, rows):
                     U = normal_ints(rng, (min(rows, stop - start - i), self.length))

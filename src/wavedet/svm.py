@@ -42,7 +42,7 @@ from .detector import (
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed, substream, uniform
 from .signals import Hypothesis, NoiseModel, SampledSignal
-from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, _set_label
+from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, _detector_id
 
 __all__ = [
     "TrainingSet",
@@ -330,7 +330,7 @@ def calibrate_bias(
         v_threshold=vt,
         target_pfa=float(target_pfa),
         calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed), rng_id=RNG_ID),
-        detector_id="svm-" + _set_label(model.layout.scales),
+        detector_id=_detector_id("svm", model.layout.scales),
     )
 
 

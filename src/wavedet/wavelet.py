@@ -18,10 +18,10 @@ length-L windows that start at the even columns through an explicit strided
 view.  Window k covers padded columns 2k .. 2k + L - 1, so the last one
 (k = M/2 - 1) ends at column M + L - 3, inside the padded row.
 
-Detail vectors carry a per-scale ``steady_start`` index, set by
-``pipeline.layout_for_scales``; detectors restrict their sums to indices at
-or beyond it so that boundary-affected coefficients never enter a detection
-statistic.
+A ScaleLayout derives each scale's ``steady_start`` from the filter
+length L: a level's coefficients below L count as boundary-affected, so
+detectors restrict their sums to indices at or beyond it and
+boundary-affected coefficients never enter a detection statistic.
 """
 
 from __future__ import annotations
@@ -165,48 +165,57 @@ def _set_label(scales: tuple[int, ...]) -> str:
     return "d" + "_".join(str(s) for s in scales)
 
 
+def _detector_id(kind: str, scales: tuple[int, ...]) -> str:
+    """The one id rule of a detector or curve: ("svm", (3, 4)) -> "svm-d3_4"."""
+    return f"{kind}-{_set_label(scales)}"
+
+
+def _check_scales(scales: tuple[int, ...], length: int) -> None:
+    """The one scale-range rule: distinct levels 1 .. log2(length), at least one."""
+    if not scales or len(set(scales)) != len(scales):
+        raise ValueError(f"scale set {scales} must be non-empty, with no duplicate scale")
+    for s in scales:
+        if not 1 <= s < length.bit_length():
+            raise ValueError(f"scale {s} out of range for length {length}")
+
+
 @dataclass(frozen=True)
 class ScaleLayout:
-    """Shape of a (possibly concatenated) detail vector.
+    """Shape of a (possibly concatenated) detail vector, derived from three numbers.
 
-    ``scales`` lists the levels in storage order; segment k holds that
-    level's detail vector of length ``seg_lengths[k]`` with boundary-affected
-    coefficients below ``steady_starts[k]``.
+    ``scales`` lists the levels in storage order.  Segment k holds level
+    scales[k] of a ``source_length``-sample signal, ``source_length >>
+    scales[k]`` coefficients, of which those below ``min(filter_length,
+    segment length)`` count as boundary-affected.  Segment lengths and
+    steady starts are never given, so no layout can admit a
+    boundary-affected coefficient into its steady ranges.
     """
 
     scales: tuple[int, ...]
-    seg_lengths: tuple[int, ...]
-    steady_starts: tuple[int, ...]
+    source_length: int
+    filter_length: int
 
     def __post_init__(self) -> None:
-        scales = tuple(int(s) for s in self.scales)
-        lengths = tuple(int(m) for m in self.seg_lengths)
-        starts = tuple(int(t) for t in self.steady_starts)
-        if not (len(scales) == len(lengths) == len(starts)) or not scales:
-            raise ValueError("scales, seg_lengths, steady_starts must be equal-length and non-empty")
-        if len(set(scales)) != len(scales):
-            raise ValueError("duplicate scale index")
-        if any(s < 1 for s in scales) or any(m < 1 for m in lengths):
-            raise ValueError("scale indices and segment lengths must be positive")
-        if any(not 0 <= t <= m for t, m in zip(starts, lengths)):
-            raise ValueError("steady_start must lie in [0, segment length]")
-        source = {m * 2**s for s, m in zip(scales, lengths)}
-        if len(source) != 1:
-            raise ValueError("segments imply different source signal lengths")
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "seg_lengths", lengths)
-        object.__setattr__(self, "steady_starts", starts)
+        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
+        _require_pow2(self.source_length)
+        _check_scales(self.scales, self.source_length)
+        if self.filter_length < 1:
+            raise ValueError(f"filter_length must be positive, got {self.filter_length}")
 
-    # source_length, offsets, the steady mask and steady_length sit on every
-    # per-observation path, so they are cached in the instance dict; fields are frozen
+    # the derived shape sits on every per-observation path, so it is cached
+    # in the instance dict; fields are frozen
+
+    @cached_property
+    def seg_lengths(self) -> tuple[int, ...]:
+        return tuple(self.source_length >> s for s in self.scales)
+
+    @cached_property
+    def steady_starts(self) -> tuple[int, ...]:
+        return tuple(min(self.filter_length, m) for m in self.seg_lengths)
 
     @property
     def total_length(self) -> int:
         return sum(self.seg_lengths)
-
-    @cached_property
-    def source_length(self) -> int:
-        return self.seg_lengths[0] * 2 ** self.scales[0]
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:

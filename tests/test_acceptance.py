@@ -294,7 +294,7 @@ def test_c5_single_scale_svm_tracks_theory(pipes, theory, svm_curves):
         worst_z = max(worst_z, float(np.max((curve.pd_values() - th) / se)))
     ok_ceiling = worst_z <= 3.0
 
-    dims = {b: pipes[b].steady_dim for b in SINGLES}
+    dims = {b: pipes[b].layout.steady_length for b in SINGLES}
     lowest_two = sorted(SINGLES, key=lambda b: dims[b])[:2]
     window = [i for i, s in enumerate(GRID) if -10.0 <= s <= 0.0]
     worst_gap = 0.0
@@ -429,7 +429,7 @@ def pg_dual_oracle(K, y, box, tol=1e-10, max_iters=200_000):
 
 
 def test_c9_smo_against_qp_oracle():
-    layout = ScaleLayout(scales=(1,), seg_lengths=(8,), steady_starts=(5,))
+    layout = ScaleLayout((1,), 16, 5)
     worst_gap = 0.0
     worst_kkt = 0.0
     tol = 1e-8

@@ -72,6 +72,20 @@ def test_optimum_then_curve(tmp_path, pulse_file):
                  "--trials", "500", "--seed", "5", "--out", str(csv)]) == 2
 
 
+def test_curve_rejects_a_detector_relabelled_to_another_family(tmp_path, pulse_file, capsys):
+    # swept through db2 filters, these db5 weights would take in 6
+    # boundary-affected coefficients per scale
+    det = tmp_path / "opt.det"
+    assert main(["optimum", "--pulse", str(pulse_file), "--scales", "2,3", "--family", "db5",
+                 "--pfa", "0.01", "--out", str(det)]) == 0
+    det.write_bytes(det.read_bytes().replace(b"family=db5", b"family=db2", 1))
+    capsys.readouterr()
+    assert main(["curve", "--detector-file", str(det), "--pulse", str(pulse_file),
+                 "--trials", "500", "--seed", "1", "--out", str(tmp_path / "c.csv")]) == 2
+    assert "family=db2" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_calibrate_analytic_and_mc(tmp_path, pulse_file):
     coef = tmp_path / "a.coef"
     assert main(["dwt", "--in", str(pulse_file), "--levels", "4",

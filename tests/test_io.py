@@ -1,11 +1,13 @@
 """Artifact format round trips and header validation."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from wavedet import (
+    RNG_ID,
     Calibration,
     DetectionCurve,
     LinearDetector,
@@ -16,6 +18,10 @@ from wavedet import (
     sweep_curve,
 )
 from wavedet import io
+
+# files written by an earlier version of the writers, to pin the format:
+# never regenerate them, since their float payload depends on how BLAS rounds
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_signal_round_trip_template(tmp_path, pulse256):
@@ -101,6 +107,57 @@ def test_readers_reject_a_mismatched_signal_length(tmp_path, pipe34, pulse256, n
             read(p)
 
 
+def test_writers_reject_a_family_the_layout_was_not_built_for(tmp_path, pipe34, pulse256,
+                                                              noise):
+    d = pipe34.details_of(pulse256)
+    det = optimum_a(d, 1e-2, noise)
+    for name, write, arg in (("c.coef", io.write_coeffs, d), ("d.det", io.write_detector, det)):
+        with pytest.raises(ValueError, match="family db2"):
+            write(tmp_path / name, arg, "db2", 256)
+        assert not (tmp_path / name).exists()
+
+
+def test_readers_reject_a_stored_shape_the_header_does_not_imply(tmp_path, pipe34, pulse256,
+                                                                 noise):
+    # segment_bounds and steady_starts follow from scales, signal_length and
+    # family; db5 weights read as db2 ones would start the steady ranges at 4,
+    # letting 6 boundary-affected coefficients per scale into a statistic
+    d = pipe34.details_of(pulse256)
+    det = optimum_a(d, 1e-2, noise)
+    edits = (
+        (b"family=db5", b"family=db2", "steady_starts=10,10 is not the 4,4 .* family=db2"),
+        (b"steady_starts=10,10", b"steady_starts=0,0", "steady_starts=0,0"),
+        (b"segment_bounds=0:32,32:16", b"segment_bounds=0:16,16:32",
+         "segment_bounds=0:16,16:32"),
+    )
+    cases = (("c.coef", io.write_coeffs, d, io.read_coeffs),
+             ("d.det", io.write_detector, det, io.read_detector))
+    for name, write, arg, read in cases:
+        p = tmp_path / name
+        write(p, arg, "db5", 256)
+        raw = p.read_bytes()
+        for old, new, message in edits:
+            p.write_bytes(raw.replace(old, new, 1))
+            with pytest.raises(ValueError, match=message):
+                read(p)
+
+
+def test_pinned_files_read_back_and_render_to_the_same_bytes(tmp_path):
+    for name in ("optimum_d3_4.det", "baseline_d3_4.det", "chirp64_db2_d4_2.coef"):
+        path = os.path.join(DATA, name)
+        if name.endswith(".det"):
+            det, family, n, extras = io.read_detector(path)
+            io.write_detector(tmp_path / name, det, family, n, extras)
+        else:
+            d, family, n = io.read_coeffs(path)
+            # stored in the order 4, 2; level 4 of 64 samples has only as many
+            # coefficients as db2 has taps, so none of them is steady
+            assert d.layout.seg_lengths == (4, 16) and d.layout.steady_starts == (4, 4)
+            io.write_coeffs(tmp_path / name, d, family, n)
+        with open(path, "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
 def test_signal_rejects_truncated_payload(tmp_path, pulse256):
     p = tmp_path / "x.sig"
     io.write_signal(p, pulse256)
@@ -153,6 +210,37 @@ def test_detector_extras_cannot_shadow_core_keys(tmp_path, pipe34, pulse256, noi
     with pytest.raises(ValueError):
         io.write_detector(tmp_path / "d.det", det, "db5", 256,
                           extras={"pfa": "0.5"})
+
+
+def test_header_fields_cannot_inject_other_fields(tmp_path, pipe34, pulse256, noise):
+    # "; " starts a field on read: this note would turn the file's kind from
+    # linear to max-coeff, and a key holding "=" would read back as another key
+    det = dataclasses.replace(optimum_a(pipe34.details_of(pulse256), 1e-3, noise),
+                              calibration=Calibration("monte_carlo", 10_000, 1, RNG_ID))
+    for extras in ({"note": "x; kind=max-coeff"}, {"note; kind": "x"}, {"a=b": "x"},
+                   {"note": "x\ny"}):
+        with pytest.raises(ValueError, match="would not read back"):
+            io.write_detector(tmp_path / "d.det", det, "db5", 256, extras=extras)
+        assert not (tmp_path / "d.det").exists()
+    # nor may a reader let a repeated field override the first
+    p = tmp_path / "d.det"
+    io.write_detector(p, det, "db5", 256)
+    header, sep, payload = p.read_bytes().partition(b"\n")
+    p.write_bytes(header + b"; kind=max-coeff" + sep + payload)
+    with pytest.raises(ValueError, match="repeated header field 'kind=max-coeff'"):
+        io.read_detector(p)
+
+
+def test_provenance_cannot_inject_other_lines(tmp_path, pipe34, pulse256, noise):
+    det = optimum_a(pipe34.details_of(pulse256), 1e-2, noise)
+    curve = sweep_curve(det, pulse256, (-6.0,), noise, 500, 13, pipe34)
+    # a line break starts a provenance line of its own: this one would read
+    # back as the curve of another detector
+    for prov in ({"family": "db5\n# detector_id=baseline-d3"}, {"family": "db5\rx=y"},
+                 {"a=b": "x"}, {"a\nb": "x"}):
+        with pytest.raises(ValueError, match="would not read back"):
+            io.write_curve_csv(tmp_path / "c.csv", curve, prov)
+        assert not (tmp_path / "c.csv").exists()
 
 
 def test_curve_round_trip_exact_floats(tmp_path, pipe34, pulse256, noise):

@@ -5,21 +5,30 @@ import time
 import numpy as np
 import pytest
 
-from wavedet import FeaturePipe, NoiseModel, amplitude, layout_for_scales, make_chirp, pipeline
+from wavedet import (FeaturePipe, NoiseModel, ScaleLayout, amplitude, make_chirp, parse_family,
+                     pipeline)
 from wavedet.pipeline import BLOCK_SAMPLES
 from wavedet.rng import CHUNK, chunk_bounds, normal, substream
 
 
-def test_layout_for_scales(db5):
-    layout = layout_for_scales(256, db5, (3, 4))
-    assert layout.scales == (3, 4)
+def test_scale_layout_derives_lengths_and_starts(db5):
+    layout = FeaturePipe.for_scales(256, db5, (3, 4)).layout
+    assert layout == ScaleLayout((3, 4), 256, db5.length)
     assert layout.seg_lengths == (32, 16)
     assert layout.steady_starts == (10, 10)
     assert layout.source_length == 256
     with pytest.raises(ValueError):
-        layout_for_scales(256, db5, (9,))
+        FeaturePipe.for_scales(256, db5, (9,))
     with pytest.raises(ValueError):
-        layout_for_scales(250, db5, (3,))
+        FeaturePipe.for_scales(250, db5, (3,))
+
+
+def test_pipe_rejects_a_layout_for_another_filter_length(db5):
+    # a db2 layout starts its steady ranges at 4, but db5 reaches 10 samples
+    # back, so 6 boundary-affected coefficients per scale would enter a statistic
+    db2_layout = ScaleLayout((3, 4), 256, parse_family("db2").length)
+    with pytest.raises(ValueError, match="filter length 4"):
+        FeaturePipe(db5, db2_layout)
 
 
 def test_details_of_matches_transform_batch(pipe34, rng):
@@ -36,7 +45,7 @@ def test_steady_batch_selects_mask(pipe34, rng):
     F = pipe34.transform_batch(x)
     S = pipe34.steady_batch(x)
     np.testing.assert_array_equal(S, F[:, pipe34.layout.steady_mask()])
-    assert pipe34.steady_dim == S.shape[1] == 28
+    assert pipe34.layout.steady_length == S.shape[1] == 28
 
 
 def test_noise_stream_is_chunk_invariant(pipe34, noise):
@@ -79,7 +88,7 @@ def test_block_and_chunk_seams_keep_every_trial(pipe34, pulse256):
         pipe34.obs_steady(pulse256, snr, model, trials, seed=22), np.concatenate(obs_ref))
     # detectors project each chunk with F @ a; the chunks must also share
     # the reference's memory layout, or BLAS sums the products in another order
-    a = np.random.default_rng(3).standard_normal(pipe34.steady_dim)
+    a = np.random.default_rng(3).standard_normal(pipe34.layout.steady_length)
     np.testing.assert_array_equal(
         pipe34.noise_steady(model, trials, seed=21, path=(5,), stat=lambda F: F @ a),
         np.concatenate([ref @ a for ref in noise_ref]))
@@ -91,7 +100,7 @@ def test_statistic_sees_whole_chunks(pipe34):
     # the same row inside its chunk; with this a the last value differs by
     # an ulp on x86-64 OpenBLAS, so a statistic applied per block fails here
     trials = CHUNK + BLOCK_SAMPLES // 256 + 1
-    a = np.random.default_rng(0).standard_normal(pipe34.steady_dim)
+    a = np.random.default_rng(0).standard_normal(pipe34.layout.steady_length)
     ref = [pipe34.steady_batch(normal(substream(5, (c,)), (stop - start, 256)))
            for c, start, stop in chunk_bounds(trials)]
     np.testing.assert_array_equal(
@@ -103,7 +112,7 @@ def test_statistic_sees_whole_chunks(pipe34):
 def test_streams_do_not_depend_on_the_worker_count(pipe34, pulse256, monkeypatch, workers):
     model = NoiseModel(sigma_n=1.3)
     trials = CHUNK + 700
-    a = np.random.default_rng(4).standard_normal(pipe34.steady_dim)
+    a = np.random.default_rng(4).standard_normal(pipe34.layout.steady_length)
 
     def streams():
         return (pipe34.noise_steady(model, trials, seed=7, stat=lambda F: F @ a),

@@ -99,7 +99,7 @@ def test_a_rounding_residue_snaps_onto_its_bound():
     # -(3 - 0.654...), and the last step moves beta_1 up to 0 against beta_2
     # down to -3.  The two step limits differ in their last bits, so beta_1
     # lands 2.2e-16 from 0 unless it is snapped onto the bound.
-    layout = ScaleLayout(scales=(1,), seg_lengths=(8,), steady_starts=(5,))
+    layout = ScaleLayout((1,), 16, 5)
     X = [[-0.07, 1.25, -0.61], [-0.42, 1.98, 0.94], [-0.3, 0.8, -0.09]]
     ts = tiny_set(X, [1.0, -1.0, -1.0], layout)
     model = train(ts, 3.0, 3.0, kkt_tolerance=1e-8)
@@ -290,7 +290,7 @@ def test_training_set_rejects_non_finite_patterns_and_a_bad_snr_range(pipe34, ba
 def _reference_case(name, pipe34, pulse256, db5, noise):
     """(training set, c_plus, c_minus, kkt_tolerance, max_passes) for one case."""
     g = np.random.default_rng(sum(map(ord, name)))
-    tiny = ScaleLayout(scales=(1,), seg_lengths=(8,), steady_starts=(5,))  # 3 features
+    tiny = ScaleLayout((1,), 16, 5)  # 3 features
     if name.startswith("random"):
         n, layout = (60, tiny) if name == "random-small" else (300, pipe34.layout)
         X = g.standard_normal((n, layout.steady_length))

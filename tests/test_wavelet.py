@@ -24,7 +24,6 @@ from wavedet import (
     ScaleLayout,
     count_ops,
     db_filters,
-    layout_for_scales,
     parse_family,
     pyramid_batch,
 )
@@ -100,7 +99,7 @@ def test_power_of_two_rule_has_one_message(db5):
     errors = []
     for build in (
         lambda: SampledSignal(samples=np.zeros(100), hypothesis=Hypothesis.NOISE),
-        lambda: layout_for_scales(100, db5, (1,)),
+        lambda: ScaleLayout((1,), 100, db5.length),
         lambda: pyramid_batch(np.zeros((1, 100)), db5, 1),
         lambda: ExperimentConfig(length=100),
     ):
@@ -200,7 +199,7 @@ def test_perfect_reconstruction_via_adjoint(rng):
 def test_layout_shapes_and_steady_starts(db5):
     x = np.zeros(256)
     x[0] = 1.0
-    layout = layout_for_scales(256, db5, (1, 2, 3, 4))
+    layout = ScaleLayout((1, 2, 3, 4), 256, db5.length)
     d = FeaturePipe(db5, layout).details_of(x)
     assert d.layout == layout
     assert [d.segment(s).size for s in (1, 2, 3, 4)] == [128, 64, 32, 16]
@@ -228,21 +227,25 @@ def test_scale_subset_segments_match_pyramid(db5, rng):
     with pytest.raises(ValueError):
         d.segment(3)
     with pytest.raises(ValueError):
-        layout_for_scales(128, db5, (8,))
+        ScaleLayout((8,), 128, db5.length)
 
 
 def test_scale_layout_validation():
-    with pytest.raises(ValueError):
-        ScaleLayout(scales=(1, 1), seg_lengths=(8, 8), steady_starts=(2, 2))
-    with pytest.raises(ValueError):
-        ScaleLayout(scales=(1,), seg_lengths=(8,), steady_starts=(9,))
-    # segments must all describe the same source signal
-    with pytest.raises(ValueError):
-        ScaleLayout(scales=(1, 2), seg_lengths=(8, 8), steady_starts=(2, 2))
+    for scales, n, L, message in (
+        ((1, 1), 16, 2, "no duplicate scale"),
+        ((), 16, 2, "must be non-empty"),
+        ((0,), 16, 2, "scale 0 out of range"),
+        ((5,), 16, 2, "scale 5 out of range"),
+        ((1,), 12, 2, "power of two"),
+        ((1,), 16, 0, "filter_length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ScaleLayout(scales, n, L)
 
 
 def test_steady_mask_matches_slices():
-    layout = ScaleLayout(scales=(2, 3), seg_lengths=(16, 8), steady_starts=(4, 4))
+    layout = ScaleLayout((2, 3), 64, 4)
+    assert layout.seg_lengths == (16, 8) and layout.steady_starts == (4, 4)
     mask = layout.steady_mask()
     assert mask.sum() == layout.steady_length == 16
     picked = np.zeros(24, dtype=bool)
