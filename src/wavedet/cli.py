@@ -136,7 +136,7 @@ def _cmd_optimum(args: argparse.Namespace) -> int:
     scales = _parse_scales(args.scales)
     pipe = FeaturePipe.for_scales(pulse.length, filters, scales)
     det = optimum_a(pipe.details_of(pulse), args.pfa, model)
-    io.write_detector(args.out, det, args.family, pulse.length)
+    io.write_detector(args.out, det, filters.family_name, pulse.length)
     print(f"wrote matched-filter detector {det.detector_id} to {args.out}")
     return 0
 
@@ -158,7 +158,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     pipe = FeaturePipe(filters, ts.layout)
     det = calibrate_bias(svm, model, pipe, args.pfa, args.cal_trials,
                          derive_seed(args.seed, 9))
-    io.write_detector(args.out, det, args.family, pulse.length, extras={
+    io.write_detector(args.out, det, filters.family_name, pulse.length, extras={
         "c_plus": repr(svm.c_plus), "c_minus": repr(svm.c_minus),
         "kkt_tolerance": repr(svm.kkt_tolerance), "converged": str(svm.converged),
         "support_count": str(svm.support_count), "n_passes": str(svm.n_passes),

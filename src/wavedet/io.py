@@ -289,10 +289,12 @@ def _curve_csv_bytes(curve: DetectionCurve, provenance: Mapping[str, str]) -> by
     prov.setdefault("detector_id", curve.detector_id)
     prov.setdefault("rng", curve.rng_id)
     for k in sorted(prov):
-        line = f"# {k}={prov[k]}"
-        if "=" in k or "\n" in line or "\r" in line:
+        v = f"{prov[k]}"
+        line = f"# {k}={v}"
+        if "=" in k or "\n" in line or "\r" in line or k != k.strip() or v != v.strip():
             raise ValueError(f"provenance line {line!r} would not read back: a line break "
-                             "splits it, and '=' ends a key")
+                             "splits it, '=' ends a key, and a key or value may not "
+                             "start or end with a blank")
         lines.append(line)
     lines.append(_CURVE_COLUMNS)
     for snr, pd, se in curve.points:

@@ -2,11 +2,11 @@
 
 A FeaturePipe fixes a filter pair and a scale layout built for the pair's
 filter length, which implies the signal length, and turns raw sample
-batches into concatenated detail vectors or their steady-range restrictions.  Monte Carlo streams are
-chunked: trial t always lands in chunk t // CHUNK with substream path
-(*path, chunk), so the
-realisation of trial t depends only on (seed, path, t), never on how many
-trials a caller asked for or in what order chunks were evaluated.
+batches into concatenated detail vectors or their steady-range
+restrictions.  Monte Carlo streams are chunked: trial t always lands in
+chunk t // CHUNK with substream path (*path, chunk), so the realisation of
+trial t depends only on (seed, path, t), never on how many trials a caller
+asked for or in what order chunks were evaluated.
 
 ``noise_steady`` and ``obs_steady`` are the only streams.  They apply a
 caller's row statistic (F @ a, max |F|, by default the features) to each
@@ -21,24 +21,29 @@ samples, so that a block's signal, padded rows and filter outputs stay in
 the L2 cache.  Successive draws from one substream continue it, so the
 blocks realise exactly the rows a single whole-chunk draw would.
 
-The calling thread draws each block's integers from the chunk's substream,
-in order.  ``Generator.integers`` releases the GIL, but a generator's lock
-serialises its draws, and each block must continue the substream where the
-previous block left it, so a chunk's draws stay on one thread.  Each stream
-has its own workers, at most one per usable CPU, which do the rest of each
-block (inverse CDF, signal, pyramid; all release the GIL) into the block's
-rows of the chunk; the stream joins them before it returns or raises.  At
-most one block per worker is in flight.  Once every block of a chunk has
-settled, the calling thread re-raises the first worker error, or applies
-the statistic to the whole chunk, so the values do not depend on which
-thread transformed which block.
+Each stream starts its own workers, at most one per usable CPU, and joins
+them before it returns or raises.  They share one queue of every block of
+the call, in draw order.  A worker takes the next block and draws its
+integers from the chunk's substream under one lock: ``Generator.integers``
+releases the GIL, but a generator's lock serialises its draws, and each
+block must continue the substream where the previous block left it.
+Outside the lock it does the rest of the block (inverse CDF, signal,
+pyramid; all release the GIL) into the block's rows of the chunk.
+
+The calling thread draws nothing.  It waits for each chunk in order and
+applies the statistic to the whole chunk, so the values do not depend on
+which thread transformed which block, while the workers go on with the
+next chunks.  It owns the chunk buffers: at most one more than the workers
+are in flight, and a buffer is reused once its statistic has returned.
+The first worker error stops the workers from taking new blocks; every
+block in flight settles, and the stream re-raises that error.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,42 +124,98 @@ class FeaturePipe:
         """``stat`` of each chunk's features, drawn and transformed in blocks.
 
         ``add_signal(X, lo, hi)`` adds the signal part of trials lo..hi-1 to
-        their noise rows X in place, or is None for noise-only trials.
+        their noise rows X in place, or is None for noise-only trials.  The
+        chunk passed to ``stat`` is reused once it returns, so ``stat``
+        must not keep it.
         """
         stat = stat or (lambda F: F)
+        width = self.layout.steady_length
         # the statistic of an empty chunk fixes the shape and type of the values
-        v = stat(np.empty((0, self.layout.steady_length), order="F"))
+        v = stat(np.empty((0, width), order="F"))
         out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
+        chunks = chunk_bounds(int(trials))
         rows = max(1, BLOCK_SAMPLES // self.length)
-        n = _worker_count()
+        pending = [-(-(stop - start) // rows) for _, start, stop in chunks]
+        # every block of the call, (chunk, first trial, offset, rows), in draw order
+        blocks = ((c, start, i, min(rows, stop - start - i))
+                  for c, start, stop in chunks for i in range(0, stop - start, rows))
+        workers = min(_worker_count(), sum(pending))
+        slots = workers + 1
 
-        def block(F_rows: np.ndarray, U: np.ndarray, lo: int) -> None:
-            X = normal_from_ints(U, model.sigma_n)
-            if add_signal is not None:
-                add_signal(X, lo, lo + X.shape[0])
-            F_rows[...] = self.steady_batch(X)
+        def buffer(c: int) -> np.ndarray:
+            # column-major like steady_batch's masked result, so that a
+            # statistic such as F @ a runs the same BLAS kernel and rounds the same
+            _, start, stop = chunks[c]
+            return np.empty((stop - start, width), order="F")
 
-        # leaving the with block waits for every submitted block, so a
-        # worker's error leaves the stream only once its chunk has settled
-        with ThreadPoolExecutor(n, thread_name_prefix="wavedet-block") as pool:
-            for c, start, stop in chunk_bounds(int(trials)):
-                rng = substream(seed, (*path, c))
-                # column-major like steady_batch's masked result, so that a
-                # statistic such as F @ a runs the same BLAS kernel and rounds the same
-                F = np.empty((stop - start, self.layout.steady_length), order="F")
-                blocks: list[Future] = []
-                for i in range(0, stop - start, rows):
-                    U = normal_ints(rng, (min(rows, stop - start - i), self.length))
-                    # at most n blocks in flight; a failed block raises here
-                    if len(blocks) >= n:
-                        blocks[-n].result()
-                    # each block runs in its own copy of the caller's context,
-                    # so that count_ops and other context state reach it
-                    blocks.append(pool.submit(contextvars.copy_context().run, block,
-                                              F[i:i + U.shape[0]], U, start + i))
-                for b in blocks:
-                    b.result()
+        draws = threading.Lock()  # one substream is continued block by block
+        state = threading.Condition()  # guards bufs, pending, errors and stopped
+        bufs = {c: buffer(c) for c in range(min(slots, len(chunks)))}
+        errors: list[BaseException] = []
+        stopped = False
+        rng = None
+
+        def work() -> None:
+            nonlocal rng, stopped
+            try:
+                while True:
+                    with draws:
+                        c, start, i, m = next(blocks, (None,) * 4)
+                        with state:
+                            while c is not None and c not in bufs and not stopped:
+                                state.wait()
+                            if c is None or stopped:
+                                return
+                            F_rows = bufs[c][i:i + m]
+                        if i == 0:
+                            rng = substream(seed, (*path, c))
+                        U = normal_ints(rng, (m, self.length))
+                    X = normal_from_ints(U, model.sigma_n)
+                    if add_signal is not None:
+                        add_signal(X, start + i, start + i + m)
+                    F_rows[...] = self.steady_batch(X)
+                    with state:
+                        pending[c] -= 1
+                        if not pending[c]:
+                            state.notify_all()
+            except BaseException as e:
+                with state:
+                    errors.append(e)
+                    stopped = True
+                    state.notify_all()
+
+        # each worker runs in its own copy of the caller's context, so that
+        # count_ops and other context state reach it
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,),
+                                    name=f"wavedet-block_{k}") for k in range(workers)]
+        try:
+            for t in threads:
+                t.start()
+            for c, start, stop in chunks:
+                with state:
+                    while pending[c] and not stopped:
+                        state.wait()
+                    if stopped:
+                        break
+                    F = bufs.pop(c)
                 out[start:stop] = stat(F)
+                # the buffer passes to the chunk `slots` ahead, unless that
+                # is a shorter last chunk
+                if (ahead := c + slots) < len(chunks):
+                    _, lo, hi = chunks[ahead]
+                    F = F if len(F) == hi - lo else buffer(ahead)
+                    with state:
+                        bufs[ahead] = F
+                        state.notify_all()
+        finally:
+            with state:
+                stopped = True
+                state.notify_all()
+            for t in threads:
+                if t.ident is not None:  # started
+                    t.join()
+        if errors:
+            raise errors[0]
         return out
 
     def noise_steady(

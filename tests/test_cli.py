@@ -40,6 +40,22 @@ def test_dwt_writes_selected_scales(tmp_path, pulse_file):
     assert d.layout.scales == (3, 4)
 
 
+def test_every_command_writes_the_canonical_family_name(tmp_path, pulse_file):
+    # "Haar" names the db1 pair; each file records the pair under one name
+    common = ["--family", "Haar", "--scales", "3,4"]
+    assert main(["dwt", "--in", str(pulse_file), "--levels", "4", *common,
+                 "--out", str(tmp_path / "c.coef")]) == 0
+    assert main(["optimum", "--pulse", str(pulse_file), *common, "--pfa", "0.01",
+                 "--out", str(tmp_path / "opt.det")]) == 0
+    assert main(["train", "--pulse", str(pulse_file), *common, "--n-pos", "60", "--n-neg", "60",
+                 "--pfa", "0.1", "--seed", "7", "--cal-trials", "1000",
+                 "--out", str(tmp_path / "svm.det")]) == 0
+    assert io.read_coeffs(tmp_path / "c.coef")[1] == "db1"
+    for name in ("opt.det", "svm.det"):
+        assert b"family=db1" in (tmp_path / name).read_bytes()
+        assert io.read_detector(tmp_path / name)[1] == "db1"
+
+
 def test_dwt_rejects_scale_beyond_levels(tmp_path, pulse_file):
     assert main(["dwt", "--in", str(pulse_file), "--levels", "3",
                  "--scales", "4", "--out", str(tmp_path / "c.coef")]) == 2

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavedet import (FeaturePipe, NoiseModel, ScaleLayout, amplitude, make_chirp, parse_family,
                      pipeline)
@@ -126,6 +127,53 @@ def test_streams_do_not_depend_on_the_worker_count(pipe34, pulse256, monkeypatch
         np.testing.assert_array_equal(g, w)
 
 
+@st.composite
+def _stream_cases(draw):
+    # trial counts one below, at and one above a block or chunk seam
+    length = draw(st.sampled_from([64, 256]))
+    rows = BLOCK_SAMPLES // length
+    trials = draw(st.integers(1, 2 * CHUNK // rows + 1)) * rows + draw(st.integers(-1, 1))
+    return length, trials, draw(st.sampled_from(["dot", "max"])), draw(st.booleans())
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=_stream_cases())
+def test_streams_are_byte_identical_for_one_to_four_workers(db5, case):
+    length, trials, kind, per_trial = case
+    pipe = FeaturePipe.for_scales(length, db5, (1, 2) if length == 64 else (3, 4))
+    a = np.random.default_rng(length).standard_normal(pipe.layout.steady_length)
+    stat = (lambda F: F @ a) if kind == "dot" else (lambda F: np.abs(F).max(axis=1))
+    model = NoiseModel(sigma_n=0.8)
+    snr = np.linspace(-8.0, 1.0, trials) if per_trial else -3.0
+
+    def streams():
+        return (pipe.noise_steady(model, trials, seed=11, path=(2,), stat=stat).tobytes(),
+                pipe.obs_steady(make_chirp(length), snr, model, trials, seed=12,
+                                stat=stat).tobytes())
+
+    got = []
+    for workers in range(1, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_worker_count", lambda: workers)
+            got.append(streams())
+    assert all(g == got[0] for g in got[1:])
+
+
+def test_statistic_runs_on_the_calling_thread_in_chunk_order(pipe34, noise):
+    seen = []
+
+    def record(F):
+        seen.append((threading.current_thread(), F.shape[0], F[:, 0].copy()))
+        return F[:, 0]
+
+    trials = 2 * CHUNK + 7
+    v = pipe34.noise_steady(noise, trials, seed=6, stat=record)
+    seen = [s for s in seen if s[1]]  # drop the empty chunk that fixes the value type
+    assert all(t is threading.current_thread() for t, _, _ in seen)
+    assert [n for _, n, _ in seen] == [CHUNK, CHUNK, 7]
+    np.testing.assert_array_equal(np.concatenate([f for _, _, f in seen]), v)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_workers(pipe34, noise):
     # a forked child inherits no thread of its parent; its streams must
@@ -149,7 +197,10 @@ def test_a_forked_child_starts_its_own_workers(pipe34, noise):
 
 def test_a_failing_block_stops_the_stream(pipe34, noise, monkeypatch):
     # at length 256 a chunk is 8 blocks; the third raises while its
-    # neighbours are still being transformed
+    # neighbours are still being transformed.  Workers go on to the next
+    # chunk's blocks, so the bound below holds for a fixed, small number of
+    # them: each may start at most one block while the failing one runs
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 3)
     lock = threading.Lock()
     state = {"calls": 0, "running": 0}
     steady_batch = FeaturePipe.steady_batch
