@@ -30,13 +30,18 @@ block must continue the substream where the previous block left it.
 Outside the lock it does the rest of the block (inverse CDF, signal,
 pyramid; all release the GIL) into the block's rows of the chunk.
 
+A worker may draw a block of the next chunk while the current chunk's last
+blocks are transformed, but runs its pyramid only once every block of the
+chunk before has been transformed.  So the first worker error stops the
+stream before any block of a later chunk is transformed; every block in
+flight settles, and the stream re-raises that error.
+
 The calling thread draws nothing.  It waits for each chunk in order and
 applies the statistic to the whole chunk, so the values do not depend on
 which thread transformed which block, while the workers go on with the
-next chunks.  It owns the chunk buffers: at most one more than the workers
-are in flight, and a buffer is reused once its statistic has returned.
-The first worker error stops the workers from taking new blocks; every
-block in flight settles, and the stream re-raises that error.
+next chunk.  It owns two chunk buffers, one for its statistic and one for
+the workers, and reuses a buffer once its statistic has returned: a
+statistic must not keep the chunk it is given, or a view of it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,9 +130,7 @@ class FeaturePipe:
         """``stat`` of each chunk's features, drawn and transformed in blocks.
 
         ``add_signal(X, lo, hi)`` adds the signal part of trials lo..hi-1 to
-        their noise rows X in place, or is None for noise-only trials.  The
-        chunk passed to ``stat`` is reused once it returns, so ``stat``
-        must not keep it.
+        their noise rows X in place, or is None for noise-only trials.
         """
         stat = stat or (lambda F: F)
         width = self.layout.steady_length
@@ -134,13 +138,13 @@ class FeaturePipe:
         v = stat(np.empty((0, width), order="F"))
         out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
         chunks = chunk_bounds(int(trials))
+        if not chunks:
+            return out
         rows = max(1, BLOCK_SAMPLES // self.length)
         pending = [-(-(stop - start) // rows) for _, start, stop in chunks]
         # every block of the call, (chunk, first trial, offset, rows), in draw order
         blocks = ((c, start, i, min(rows, stop - start - i))
                   for c, start, stop in chunks for i in range(0, stop - start, rows))
-        workers = min(_worker_count(), sum(pending))
-        slots = workers + 1
 
         def buffer(c: int) -> np.ndarray:
             # column-major like steady_batch's masked result, so that a
@@ -149,73 +153,76 @@ class FeaturePipe:
             return np.empty((stop - start, width), order="F")
 
         draws = threading.Lock()  # one substream is continued block by block
-        state = threading.Condition()  # guards bufs, pending, errors and stopped
-        bufs = {c: buffer(c) for c in range(min(slots, len(chunks)))}
-        errors: list[BaseException] = []
+        state = threading.Condition()  # guards bufs, pending and stopped
+        # one chunk buffer for the caller's statistic, one for the workers
+        bufs = {c: buffer(c) for c in range(min(2, len(chunks)))}
         stopped = False
         rng = None
 
         def work() -> None:
             nonlocal rng, stopped
             try:
-                while True:
+                while not stopped:
                     with draws:
                         c, start, i, m = next(blocks, (None,) * 4)
-                        with state:
-                            while c is not None and c not in bufs and not stopped:
-                                state.wait()
-                            if c is None or stopped:
-                                return
-                            F_rows = bufs[c][i:i + m]
+                        if c is None:
+                            return
                         if i == 0:
                             rng = substream(seed, (*path, c))
                         U = normal_ints(rng, (m, self.length))
                     X = normal_from_ints(U, model.sigma_n)
                     if add_signal is not None:
                         add_signal(X, start + i, start + i + m)
+                    # the pyramid waits for the chunk's buffer and for every
+                    # block of the chunk before, so that a failed block stops
+                    # all later chunks
+                    with state:
+                        while not stopped and (c not in bufs or c and pending[c - 1]):
+                            state.wait()
+                        if stopped:
+                            return
+                        F_rows = bufs[c][i:i + m]
                     F_rows[...] = self.steady_batch(X)
                     with state:
                         pending[c] -= 1
                         if not pending[c]:
                             state.notify_all()
-            except BaseException as e:
+            except BaseException:
                 with state:
-                    errors.append(e)
                     stopped = True
                     state.notify_all()
+                raise
 
-        # each worker runs in its own copy of the caller's context, so that
-        # count_ops and other context state reach it
-        threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,),
-                                    name=f"wavedet-block_{k}") for k in range(workers)]
-        try:
-            for t in threads:
-                t.start()
-            for c, start, stop in chunks:
-                with state:
-                    while pending[c] and not stopped:
-                        state.wait()
-                    if stopped:
-                        break
-                    F = bufs.pop(c)
-                out[start:stop] = stat(F)
-                # the buffer passes to the chunk `slots` ahead, unless that
-                # is a shorter last chunk
-                if (ahead := c + slots) < len(chunks):
-                    _, lo, hi = chunks[ahead]
-                    F = F if len(F) == hi - lo else buffer(ahead)
+        workers = min(_worker_count(), sum(pending))
+        with ThreadPoolExecutor(workers, thread_name_prefix="wavedet-block") as pool:
+            # each worker runs in its own copy of the caller's context, so
+            # that count_ops and other context state reach it
+            futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(workers)]
+            try:
+                for c, start, stop in chunks:
                     with state:
-                        bufs[ahead] = F
-                        state.notify_all()
-        finally:
-            with state:
-                stopped = True
-                state.notify_all()
-            for t in threads:
-                if t.ident is not None:  # started
-                    t.join()
-        if errors:
-            raise errors[0]
+                        while pending[c] and not stopped:
+                            state.wait()
+                        if stopped:
+                            break
+                        F = bufs.pop(c)
+                    out[start:stop] = stat(F)
+                    # the buffer passes two chunks ahead, unless that is a
+                    # shorter last chunk
+                    if (ahead := c + 2) < len(chunks):
+                        _, lo, hi = chunks[ahead]
+                        F = F if len(F) == hi - lo else buffer(ahead)
+                        with state:
+                            bufs[ahead] = F
+                            state.notify_all()
+            finally:
+                # leaving the with block joins every worker, so a worker's
+                # error leaves the stream only once every block has settled
+                with state:
+                    stopped = True
+                    state.notify_all()
+        for f in futures:
+            f.result()
         return out
 
     def noise_steady(
@@ -226,7 +233,11 @@ class FeaturePipe:
         path: Sequence[int] = (),
         stat: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Noise-only trials: ``stat`` of each trial's steady features (default: the features)."""
+        """Noise-only trials: ``stat`` of each trial's steady features (default: the features).
+
+        The chunk passed to ``stat`` is reused once it returns, so ``stat``
+        must not keep it or a view of it.
+        """
         return self._stream(model, trials, seed, path, None, stat)
 
     def obs_steady(
@@ -242,7 +253,9 @@ class FeaturePipe:
         """Pulse-plus-noise trials: ``stat`` of each trial's steady features.
 
         ``snr_db`` is a scalar applied to every trial or a length-``trials``
-        vector giving each trial its own SNR.
+        vector giving each trial its own SNR.  The chunk passed to ``stat``
+        is reused once it returns, so ``stat`` must not keep it or a view
+        of it.
         """
         if pulse.hypothesis is not Hypothesis.TEMPLATE:
             raise ValueError("expected a pulse template")

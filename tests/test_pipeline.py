@@ -1,3 +1,4 @@
+import itertools
 import os
 import threading
 import time
@@ -197,10 +198,7 @@ def test_a_forked_child_starts_its_own_workers(pipe34, noise):
 
 def test_a_failing_block_stops_the_stream(pipe34, noise, monkeypatch):
     # at length 256 a chunk is 8 blocks; the third raises while its
-    # neighbours are still being transformed.  Workers go on to the next
-    # chunk's blocks, so the bound below holds for a fixed, small number of
-    # them: each may start at most one block while the failing one runs
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: 3)
+    # neighbours are still being transformed
     lock = threading.Lock()
     state = {"calls": 0, "running": 0}
     steady_batch = FeaturePipe.steady_batch
@@ -226,6 +224,31 @@ def test_a_failing_block_stops_the_stream(pipe34, noise, monkeypatch):
     # block of the second chunk was started
     assert state["running"] == 0
     assert 3 <= state["calls"] <= CHUNK // (BLOCK_SAMPLES // 256)
+    assert not _block_workers()
+
+
+@pytest.mark.parametrize("workers", [2, 9])
+def test_no_later_chunk_is_transformed_after_a_failing_block(pipe34, noise, monkeypatch,
+                                                             workers):
+    # at length 256 a chunk is 8 blocks; the third fails only after the
+    # others are done, so the workers have drawn blocks of the second chunk
+    # (nine workers even before any block fails).  None of those may be
+    # transformed while a block of the first chunk can still fail
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    counter = itertools.count(1)
+    steady_batch = FeaturePipe.steady_batch
+
+    def flaky(self, X):
+        call = next(counter)
+        time.sleep(0.3 if call == 3 else 0.02)
+        if call == 3:
+            raise RuntimeError("block failed")
+        return steady_batch(self, X)
+
+    monkeypatch.setattr(FeaturePipe, "steady_batch", flaky)
+    with pytest.raises(RuntimeError, match="block failed"):
+        pipe34.noise_steady(noise, 2 * CHUNK, seed=1)
+    assert next(counter) - 1 <= CHUNK // (BLOCK_SAMPLES // 256)
     assert not _block_workers()
 
 
