@@ -54,7 +54,6 @@ from .svm import (
     build_training_set,
     calibrate_bias,
     decision,
-    embed_weights,
     train,
     tune_c_for_pfa,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "Hypothesis", "NoiseModel", "SampledSignal", "amplitude", "make_chirp",
     "make_noise", "make_observation",
     "SvmModel", "TrainingSet", "build_training_set", "calibrate_bias", "decision",
-    "embed_weights", "train", "tune_c_for_pfa",
+    "train", "tune_c_for_pfa",
     "DetailCoefficients", "ScaleLayout", "WaveletFilterPair", "count_ops",
     "db_filters", "parse_family", "pyramid_batch",
 ]

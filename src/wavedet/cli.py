@@ -33,7 +33,7 @@ from .harness import (
 )
 from .optimum import optimum_a
 from .pipeline import FeaturePipe
-from .rng import RNG_ID, derive_seed
+from .rng import derive_seed
 from .signals import Hypothesis, NoiseModel, make_chirp, make_noise, make_observation
 from .svm import build_training_set, calibrate_bias, train
 from .wavelet import parse_family
@@ -100,8 +100,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         vt = threshold_for_pfa_mc(
             weights.values, pipe, model, args.pfa, args.trials, args.seed
         )
-        cal = Calibration("monte_carlo", trials=args.trials, seed=args.seed,
-                          rng_id=RNG_ID)
+        cal = Calibration("monte_carlo", trials=args.trials, seed=args.seed)
     det = LinearDetector(
         a=weights.values, layout=weights.layout, v_threshold=vt,
         target_pfa=args.pfa, calibration=cal, detector_id=args.detector_id,

@@ -74,6 +74,9 @@ class Calibration:
             raise ValueError(f"unknown calibration method {self.method!r}")
         if self.method == "monte_carlo" and (self.trials is None or self.seed is None):
             raise ValueError("monte_carlo calibration must record trials and seed")
+        # a quantile records the generator it was drawn from, unless a file names its own
+        if self.method == "monte_carlo" and self.rng_id is None:
+            object.__setattr__(self, "rng_id", RNG_ID)
 
 
 def _check_pfa(p: float, name: str = "target_pfa") -> None:
@@ -121,13 +124,8 @@ class LinearDetector:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64).copy()
-        if a.ndim != 1 or a.shape[0] != self.layout.total_length:
-            raise ValueError(
-                f"coefficient length {a.shape} does not match layout total "
-                f"{self.layout.total_length}"
-            )
+        steady = self.layout.gather(a)
         _check_detector(self)
-        steady = a[self.layout.steady_mask()]
         if not np.any(steady):
             raise ValueError("a must have a non-zero entry within the steady ranges")
         for arr in (a, steady):
@@ -236,14 +234,6 @@ def _steady_stat_fn(det: LinearDetector | MaxCoeffDetector) -> Callable[[np.ndar
     return _max_abs
 
 
-def _steady_weights(a: np.ndarray, layout: ScaleLayout) -> np.ndarray:
-    """A full-layout weight vector's entries on the steady indices."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (layout.total_length,):
-        raise ValueError(f"coefficient vector of shape {a.shape} does not match the layout")
-    return a[layout.steady_mask()]
-
-
 def _sigma_v(a_steady: np.ndarray, model: NoiseModel) -> float:
     """Noise spread sigma_n * ||a_steady|| of the linear statistic."""
     sigma_v = model.sigma_n * float(np.linalg.norm(a_steady))
@@ -265,7 +255,7 @@ def analytic_stats(
     of a with the template's details; the spread is sigma_n * ||a_steady||
     under both hypotheses.
     """
-    a_s = _steady_weights(a, pulse_details.layout)
+    a_s = pulse_details.layout.gather(a)
     sigma_v = _sigma_v(a_s, model)
     eta = float(amplitude(snr_db, model)) * float(a_s @ pulse_details.steady_values())
     return DetectorStats(
@@ -281,7 +271,7 @@ def threshold_for_pfa_analytic(
 ) -> float:
     """Closed-form V_T = sigma_v * Qinv(target_pfa) for the linear statistic."""
     _check_pfa(target_pfa)
-    return _sigma_v(_steady_weights(a, layout), model) * qfunc_inv(target_pfa)
+    return _sigma_v(layout.gather(a), model) * qfunc_inv(target_pfa)
 
 
 def _empirical_upper_quantile(v: np.ndarray, target_pfa: float) -> float:
@@ -318,8 +308,14 @@ def threshold_for_pfa_mc(
     seed: int,
 ) -> float:
     """Empirical (1 - pfa) quantile of v over seeded noise realisations."""
-    a_s = _steady_weights(a, pipe.layout)
+    a_s = pipe.layout.gather(a)
     return _noise_quantile(pipe, lambda F: F @ a_s, model, target_pfa, trials, seed)
+
+
+def _rate(hits: int, trials: int) -> tuple[float, float]:
+    """A Monte Carlo proportion and its binomial standard error."""
+    p = hits / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)
 
 
 def estimate_pd(
@@ -335,8 +331,7 @@ def estimate_pd(
     _check_trials(trials)
     _require_layout("pipe", pipe.layout, det.layout)
     v = pipe.obs_steady(pulse, float(snr_db), model, trials, seed, stat=_steady_stat_fn(det))
-    pd = int(np.count_nonzero(v > det.v_threshold)) / trials
-    return pd, math.sqrt(pd * (1.0 - pd) / trials)
+    return _rate(int(np.count_nonzero(v > det.v_threshold)), trials)
 
 
 def realized_pfa_mc(
@@ -357,7 +352,7 @@ def realized_pfa_mc(
     fns = [_steady_stat_fn(det) for det in dets]
     V = pipe.noise_steady(model, trials, seed, stat=lambda F: np.column_stack([f(F) for f in fns]))
     hits = np.count_nonzero(V > [det.v_threshold for det in dets], axis=0)
-    return [(p, math.sqrt(p * (1.0 - p) / trials)) for p in (hits / trials).tolist()]
+    return [_rate(h, trials) for h in hits.tolist()]
 
 
 def max_coeff_baseline(d: DetailCoefficients, v_threshold: float) -> bool:
@@ -380,7 +375,7 @@ def calibrate_max_coeff(
         layout=pipe.layout,
         v_threshold=vt,
         target_pfa=float(target_pfa),
-        calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed), rng_id=RNG_ID),
+        calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed)),
         detector_id=_detector_id("baseline", pipe.layout.scales),
     )
 

@@ -204,6 +204,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
         kwargs[key] = _CONFIG_PARSERS[key](val)
     return ExperimentConfig(**kwargs)
 
@@ -256,7 +258,6 @@ def _provenance(
         "family": cfg.family,
         "scales": ",".join(str(s) for s in scales),
         "sigma_n": repr(cfg.sigma_n),
-        "rng": RNG_ID,
         "kind": kind,
     }
 
@@ -533,7 +534,7 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                 if not isinstance(fitted, LinearDetector):
                     raise ValueError("holds no weights: expected a linear detector")
                 cal = (Calibration("analytic") if kind == "optimum" else
-                       Calibration("monte_carlo", cfg.cal_trials, fitted.calibration.seed, RNG_ID))
+                       Calibration("monte_carlo", cfg.cal_trials, fitted.calibration.seed))
                 det = LinearDetector(fitted.a, layout, fitted.v_threshold, cfg.pfa, cal,
                                      _detector_id(kind, b))
                 fit = None

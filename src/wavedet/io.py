@@ -2,7 +2,9 @@
 
 Binary artifacts share one convention: a single ASCII header line of
 semicolon-separated ``key=value`` fields, a newline, then the payload as
-little-endian 64-bit floats.  Curves are plain CSV with ``#`` provenance
+little-endian 64-bit floats.  One reader, ``_read_tagged``, splits that
+header and decodes the payload for every binary format, and rejects a
+payload holding NaN or inf.  Curves are plain CSV with ``#`` provenance
 comments.  All floats are written with ``repr`` so that values round-trip
 exactly and repeated runs produce byte-identical files.  A coefficient or
 detector file's ``segment_bounds`` and ``steady_starts`` are derived from its
@@ -70,14 +72,14 @@ def _header_line(tag: str, fields: Mapping[str, str]) -> bytes:
     return ("; ".join([tag, *parts]) + "\n").encode("ascii")
 
 
-def _split_header(
-    raw: bytes, tag: str, path: str, required: tuple[str, ...]
-) -> tuple[dict[str, str], bytes]:
+def _read_tagged(path: str, tag: str, required: tuple[str, ...]) -> tuple[dict, np.ndarray]:
+    """The header fields and the finite float64 payload of one tagged binary file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     nl = raw.find(b"\n")
     if nl < 0:
         raise ValueError(f"{path}: missing header line")
-    line = raw[:nl].decode("ascii")
-    parts = line.split("; ")
+    parts = raw[:nl].decode("ascii").split("; ")
     if parts[0] != tag:
         raise ValueError(f"{path}: expected header tag {tag!r}, found {parts[0]!r}")
     fields: dict[str, str] = {}
@@ -89,13 +91,13 @@ def _split_header(
     for k in required:
         if k not in fields:
             raise ValueError(f"{path}: header lacks the {k!r} field")
-    return fields, raw[nl + 1 :]
-
-
-def _payload_floats(body: bytes, path: str) -> np.ndarray:
+    body = raw[nl + 1 :]
     if len(body) % 8:
         raise ValueError(f"{path}: payload is not a whole number of float64 values")
-    return np.frombuffer(body, dtype="<f8").astype(np.float64)
+    payload = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: payload holds a non-finite value")
+    return fields, payload
 
 
 def _opt(value) -> str:
@@ -120,10 +122,7 @@ def write_signal(path: str, sig: SampledSignal) -> None:
 
 
 def read_signal(path: str) -> SampledSignal:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fields, body = _split_header(raw, _SIGNAL_TAG, path, _SIGNAL_KEYS)
-    samples = _payload_floats(body, path)
+    fields, samples = _read_tagged(path, _SIGNAL_TAG, _SIGNAL_KEYS)
     if samples.shape[0] != int(fields["length"]):
         raise ValueError(f"{path}: payload length does not match header")
     kind = fields["kind"]
@@ -180,10 +179,7 @@ def write_coeffs(path: str, d: DetailCoefficients, family: str, signal_length: i
 
 
 def read_coeffs(path: str) -> tuple[DetailCoefficients, str, int]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fields, body = _split_header(raw, _COEFFS_TAG, path, _COEFFS_KEYS)
-    values = _payload_floats(body, path)
+    fields, values = _read_tagged(path, _COEFFS_TAG, _COEFFS_KEYS)
     if values.shape[0] != int(fields["length"]):
         raise ValueError(f"{path}: payload length does not match header")
     layout = _layout_from_fields(fields, path)
@@ -243,9 +239,7 @@ def _detector_bytes(
 def read_detector(
     path: str,
 ) -> tuple[LinearDetector | MaxCoeffDetector, str, int, dict[str, str]]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fields, body = _split_header(raw, _DETECTOR_TAG, path, _DETECTOR_KEYS)
+    fields, a = _read_tagged(path, _DETECTOR_TAG, _DETECTOR_KEYS)
     layout = _layout_from_fields(fields, path)
     rng = fields["rng"]
     cal = Calibration(
@@ -264,7 +258,6 @@ def read_detector(
     )
     det: LinearDetector | MaxCoeffDetector
     if fields["kind"] == "linear":
-        a = _payload_floats(body, path)
         det = LinearDetector(a=a, **common)
     elif fields["kind"] == "max-coeff":
         det = MaxCoeffDetector(**common)

@@ -28,8 +28,7 @@ def optimum_a(
     nrm = float(np.linalg.norm(s))
     if nrm == 0.0:
         raise ValueError("template has no energy on the steady ranges of these scales")
-    a = np.zeros(layout.total_length)
-    a[layout.steady_mask()] = s / nrm
+    a = layout.embed(s / nrm)
     vt = threshold_for_pfa_analytic(a, layout, model, target_pfa)
     return LinearDetector(
         a=a,

@@ -40,7 +40,7 @@ from .detector import (
     threshold_for_pfa_mc,
 )
 from .pipeline import FeaturePipe
-from .rng import RNG_ID, derive_seed, substream, uniform
+from .rng import derive_seed, substream, uniform
 from .signals import Hypothesis, NoiseModel, SampledSignal
 from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, _detector_id
 
@@ -301,13 +301,6 @@ def decision(model: SvmModel, d: DetailCoefficients) -> float:
     return float(model.w @ d.steady_values() + model.b)
 
 
-def embed_weights(model: SvmModel) -> np.ndarray:
-    """The weight vector placed into the full detail layout (zeros elsewhere)."""
-    a = np.zeros(model.layout.total_length)
-    a[model.layout.steady_mask()] = model.w
-    return a
-
-
 def calibrate_bias(
     model: SvmModel,
     noise: NoiseModel,
@@ -322,14 +315,14 @@ def calibrate_bias(
     empirical (1 - pfa) quantile of w-projected noise as its threshold.
     """
     _require_layout("pipe", pipe.layout, model.layout)
-    a = embed_weights(model)
+    a = model.layout.embed(model.w)
     vt = threshold_for_pfa_mc(a, pipe, noise, target_pfa, trials, seed)
     return LinearDetector(
         a=a,
         layout=model.layout,
         v_threshold=vt,
         target_pfa=float(target_pfa),
-        calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed), rng_id=RNG_ID),
+        calibration=Calibration("monte_carlo", trials=int(trials), seed=int(seed)),
         detector_id=_detector_id("svm", model.layout.scales),
     )
 

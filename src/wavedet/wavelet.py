@@ -248,6 +248,23 @@ class ScaleLayout:
     def steady_length(self) -> int:
         return sum(m - t for m, t in zip(self.seg_lengths, self.steady_starts))
 
+    def gather(self, full: np.ndarray) -> np.ndarray:
+        """The entries of a full-layout vector at the steady indices."""
+        full = np.asarray(full, dtype=np.float64)
+        if full.shape != (self.total_length,):
+            raise ValueError(f"vector of shape {full.shape} does not match layout total "
+                             f"{self.total_length}")
+        return full[self._steady_mask]
+
+    def embed(self, steady: np.ndarray) -> np.ndarray:
+        """A full-layout vector holding ``steady`` at the steady indices, zeros elsewhere."""
+        steady = np.asarray(steady, dtype=np.float64)
+        if steady.shape != (self.steady_length,):
+            raise ValueError(f"vector of shape {steady.shape} is not the layout's steady length")
+        full = np.zeros(self.total_length)
+        full[self._steady_mask] = steady
+        return full
+
 
 @dataclass(frozen=True)
 class DetailCoefficients:
@@ -258,13 +275,9 @@ class DetailCoefficients:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64).copy()
-        if v.ndim != 1 or v.shape[0] != self.layout.total_length:
-            raise ValueError(
-                f"values length {v.shape} does not match layout total {self.layout.total_length}"
-            )
         # every detector of an observation reads the steady values, so they
         # are gathered once, here
-        steady = v[self.layout.steady_mask()]
+        steady = self.layout.gather(v)
         for arr in (v, steady):
             arr.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -8,6 +8,7 @@ from wavedet import (
     DetectionCurve,
     LinearDetector,
     NoiseModel,
+    RNG_ID,
     analytic_stats,
     calibrate_max_coeff,
     estimate_pd,
@@ -220,6 +221,10 @@ def test_linear_detector_validation(pipe34, noise):
         Calibration("monte_carlo")
     with pytest.raises(ValueError):
         Calibration("bogus")
+    # a Monte Carlo calibration records the generator it drew from
+    assert Calibration("monte_carlo", 1000, 5).rng_id == RNG_ID
+    assert Calibration("monte_carlo", 1000, 5, "other/v0").rng_id == "other/v0"
+    assert Calibration("analytic").rng_id is None
 
 
 def test_sweep_curve_rejects_a_non_finite_snr(pipe34, pulse256, noise):

@@ -113,6 +113,9 @@ def test_config_text_rejects_unknown_keys():
         parse_config_text("lenght = 512\n")
     with pytest.raises(ValueError):
         parse_config_text("length 512\n")
+    # a repeated key is an error, not the last value wins
+    with pytest.raises(ValueError, match="line 2: repeated key 'seed'"):
+        parse_config_text("seed = 1\nseed = 2\n")
 
 
 def test_config_hash_tracks_content(mini_cfg):

@@ -203,6 +203,10 @@ def test_detector_round_trip_max_coeff(tmp_path, pipe34, noise):
     assert type(back).__name__ == "MaxCoeffDetector"
     assert back.v_threshold == det.v_threshold
     assert back.calibration == det.calibration
+    assert back.calibration.rng_id == RNG_ID
+    # a file's own rng reads back as it is
+    p.write_bytes(p.read_bytes().replace(f"rng={RNG_ID}".encode(), b"rng=other/v0", 1))
+    assert io.read_detector(p)[0].calibration.rng_id == "other/v0"
 
 
 def test_detector_extras_cannot_shadow_core_keys(tmp_path, pipe34, pulse256, noise):
@@ -310,6 +314,20 @@ def test_signal_rejects_non_finite_payload(tmp_path, noise):
     p.write_bytes(p.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
     with pytest.raises(ValueError, match="finite"):
         io.read_signal(p)
+
+
+def test_readers_reject_a_non_finite_payload(tmp_path, pipe34, pulse256, noise):
+    d = pipe34.details_of(pulse256)
+    coef, det = tmp_path / "c.coef", tmp_path / "d.det"
+    io.write_coeffs(coef, d, "db5", 256)
+    io.write_detector(det, optimum_a(d, 1e-3, noise), "db5", 256)
+    # the last payload value is a steady weight of the detector
+    for p, read in ((coef, io.read_coeffs), (det, io.read_detector)):
+        raw = p.read_bytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            p.write_bytes(raw[:-8] + np.array([bad], dtype="<f8").tobytes())
+            with pytest.raises(ValueError, match="non-finite"):
+                read(p)
 
 
 def test_signal_rejects_a_non_finite_snr_header(tmp_path, pulse256, noise):

@@ -15,7 +15,6 @@ from wavedet import (
     build_training_set,
     calibrate_bias,
     decision,
-    embed_weights,
     realized_pfa_mc,
     statistic,
     train,
@@ -183,8 +182,7 @@ def test_decision_matches_detector_statistic(pulse256, pipe34, db5, noise):
     v_direct = decision(model, d) - model.b
     v_det = statistic(d, det)
     assert v_direct == pytest.approx(v_det, abs=1e-12)
-    a = embed_weights(model)
-    np.testing.assert_array_equal(det.a, a)
+    np.testing.assert_array_equal(det.a, model.layout.embed(model.w))
     assert det.calibration.method == "monte_carlo"
     assert det.detector_id == "svm-d3_4"
 

@@ -257,6 +257,16 @@ def test_steady_mask_matches_slices():
     with pytest.raises(ValueError):
         mask[0] = True
     np.testing.assert_array_equal(layout.steady_mask(), mask)
+    # gather and embed map between full-layout and steady vectors
+    steady = np.arange(1.0, 17.0)
+    full = layout.embed(steady)
+    assert full.shape == (24,)
+    np.testing.assert_array_equal(full[~mask], 0.0)
+    np.testing.assert_array_equal(layout.gather(full), steady)
+    with pytest.raises(ValueError, match="shape"):
+        layout.gather(steady)
+    with pytest.raises(ValueError, match="shape"):
+        layout.embed(full)
 
 
 def test_detail_segment_lookup(details34):
