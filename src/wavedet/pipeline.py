@@ -10,11 +10,13 @@ asked for or in what order chunks were evaluated.
 
 ``noise_steady`` and ``obs_steady`` are the only streams.  They apply a
 caller's row statistic (F @ a, max |F|, by default the features) to each
-whole chunk's column-major steady features and return its values in trial
+block's column-major steady features and return its values in trial
 order.  BLAS picks its kernel, and so its rounding, from the operand's
-shape: F @ a over a one-row block rounds differently from the same row in
-its chunk.  Chunk bounds are fixed by CHUNK, so whole-chunk values are
-reproducible; per-block values would also depend on BLOCK_SAMPLES.
+shape: F @ a over a one-row array rounds differently from the same row in
+a larger one.  So a short block is padded with zero rows to the full block
+shape before the statistic sees it, and the padding's values are dropped.
+The value of trial t then depends only on (seed, path, t), CHUNK and
+BLOCK_SAMPLES, never on how many trials a caller asked for.
 
 Within a chunk, rows are drawn and transformed in blocks of about 1 MB of
 samples, so that a block's signal, padded rows and filter outputs stay in
@@ -28,20 +30,16 @@ integers from the chunk's substream under one lock: ``Generator.integers``
 releases the GIL, but a generator's lock serialises its draws, and each
 block must continue the substream where the previous block left it.
 Outside the lock it does the rest of the block (inverse CDF, signal,
-pyramid; all release the GIL) into the block's rows of the chunk.
+pyramid, statistic) and writes the block's values into their rows of the
+result.  The calling thread draws and applies nothing; it waits for the
+workers.
 
 A worker may draw a block of the next chunk while the current chunk's last
 blocks are transformed, but runs its pyramid only once every block of the
-chunk before has been transformed.  So the first worker error stops the
-stream before any block of a later chunk is transformed; every block in
-flight settles, and the stream re-raises that error.
-
-The calling thread draws nothing.  It waits for each chunk in order and
-applies the statistic to the whole chunk, so the values do not depend on
-which thread transformed which block, while the workers go on with the
-next chunk.  It owns two chunk buffers, one for its statistic and one for
-the workers, and reuses a buffer once its statistic has returned: a
-statistic must not keep the chunk it is given, or a view of it.
+chunk before has its values.  So the first error, in a block's pyramid or
+in its statistic, stops the stream before any block of a later chunk is
+transformed; every block in flight settles, and the stream re-raises that
+error.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import chunk_bounds, normal_from_ints, normal_ints, substream
+from .rng import CHUNK, chunk_bounds, normal_from_ints, normal_ints, substream
 from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
 from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid_batch
 
@@ -127,35 +125,27 @@ class FeaturePipe:
         add_signal: Callable[[np.ndarray, int, int], None] | None,
         stat: Callable[[np.ndarray], np.ndarray] | None,
     ) -> np.ndarray:
-        """``stat`` of each chunk's features, drawn and transformed in blocks.
+        """``stat`` of each block's features, drawn and transformed in blocks.
 
         ``add_signal(X, lo, hi)`` adds the signal part of trials lo..hi-1 to
         their noise rows X in place, or is None for noise-only trials.
         """
         stat = stat or (lambda F: F)
         width = self.layout.steady_length
-        # the statistic of an empty chunk fixes the shape and type of the values
+        # the statistic of an empty block fixes the shape and type of the values
         v = stat(np.empty((0, width), order="F"))
         out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
         chunks = chunk_bounds(int(trials))
         if not chunks:
             return out
-        rows = max(1, BLOCK_SAMPLES // self.length)
+        # rows of a full block, which never spans two chunks
+        rows = min(CHUNK, max(1, BLOCK_SAMPLES // self.length))
         pending = [-(-(stop - start) // rows) for _, start, stop in chunks]
         # every block of the call, (chunk, first trial, offset, rows), in draw order
         blocks = ((c, start, i, min(rows, stop - start - i))
                   for c, start, stop in chunks for i in range(0, stop - start, rows))
-
-        def buffer(c: int) -> np.ndarray:
-            # column-major like steady_batch's masked result, so that a
-            # statistic such as F @ a runs the same BLAS kernel and rounds the same
-            _, start, stop = chunks[c]
-            return np.empty((stop - start, width), order="F")
-
         draws = threading.Lock()  # one substream is continued block by block
-        state = threading.Condition()  # guards bufs, pending and stopped
-        # one chunk buffer for the caller's statistic, one for the workers
-        bufs = {c: buffer(c) for c in range(min(2, len(chunks)))}
+        state = threading.Condition()  # guards pending and stopped
         stopped = False
         rng = None
 
@@ -173,16 +163,21 @@ class FeaturePipe:
                     X = normal_from_ints(U, model.sigma_n)
                     if add_signal is not None:
                         add_signal(X, start + i, start + i + m)
-                    # the pyramid waits for the chunk's buffer and for every
-                    # block of the chunk before, so that a failed block stops
-                    # all later chunks
+                    # the pyramid waits until every block of the chunk before
+                    # has its values, so that a failed block stops all later chunks
                     with state:
-                        while not stopped and (c not in bufs or c and pending[c - 1]):
+                        while not stopped and c and pending[c - 1]:
                             state.wait()
                         if stopped:
                             return
-                        F_rows = bufs[c][i:i + m]
-                    F_rows[...] = self.steady_batch(X)
+                    F = self.steady_batch(X)
+                    if m < rows:
+                        # column-major like a full block's masked features, so
+                        # that a statistic such as F @ a runs the same BLAS
+                        # kernel, and rounds the same, on every block
+                        F, short = np.zeros((rows, width), order="F"), F
+                        F[:m] = short
+                    out[start + i:start + i + m] = stat(F)[:m]
                     with state:
                         pending[c] -= 1
                         if not pending[c]:
@@ -199,30 +194,14 @@ class FeaturePipe:
             # that count_ops and other context state reach it
             futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(workers)]
             try:
-                for c, start, stop in chunks:
-                    with state:
-                        while pending[c] and not stopped:
-                            state.wait()
-                        if stopped:
-                            break
-                        F = bufs.pop(c)
-                    out[start:stop] = stat(F)
-                    # the buffer passes two chunks ahead, unless that is a
-                    # shorter last chunk
-                    if (ahead := c + 2) < len(chunks):
-                        _, lo, hi = chunks[ahead]
-                        F = F if len(F) == hi - lo else buffer(ahead)
-                        with state:
-                            bufs[ahead] = F
-                            state.notify_all()
+                for f in futures:
+                    f.result()
             finally:
-                # leaving the with block joins every worker, so a worker's
-                # error leaves the stream only once every block has settled
+                # leaving the with block joins every worker, so an error
+                # leaves the stream only once every block has settled
                 with state:
                     stopped = True
                     state.notify_all()
-        for f in futures:
-            f.result()
         return out
 
     def noise_steady(
@@ -235,8 +214,10 @@ class FeaturePipe:
     ) -> np.ndarray:
         """Noise-only trials: ``stat`` of each trial's steady features (default: the features).
 
-        The chunk passed to ``stat`` is reused once it returns, so ``stat``
-        must not keep it or a view of it.
+        ``stat`` must be a pure row-wise function that may run on several
+        threads at once.  It sees one block at a time, padded with zero rows
+        to the full block shape, so its values depend on BLOCK_SAMPLES as
+        the features depend on CHUNK, but not on ``trials``.
         """
         return self._stream(model, trials, seed, path, None, stat)
 
@@ -253,9 +234,8 @@ class FeaturePipe:
         """Pulse-plus-noise trials: ``stat`` of each trial's steady features.
 
         ``snr_db`` is a scalar applied to every trial or a length-``trials``
-        vector giving each trial its own SNR.  The chunk passed to ``stat``
-        is reused once it returns, so ``stat`` must not keep it or a view
-        of it.
+        vector giving each trial its own SNR.  ``stat`` is applied as in
+        ``noise_steady``.
         """
         if pulse.hypothesis is not Hypothesis.TEMPLATE:
             raise ValueError("expected a pulse template")

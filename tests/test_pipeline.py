@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 import threading
 import time
 
@@ -57,15 +58,17 @@ def test_noise_stream_is_chunk_invariant(pipe34, noise):
     head = pipe34.noise_steady(noise, 30, seed=9)
     np.testing.assert_array_equal(full[:30], head)
 
-    # the statistic sees each whole chunk once, and its values land in trial order
-    sizes = []
+    # the statistic sees each of the 9 blocks once, as a column-major array
+    # of the full block shape, and its values land in trial order
+    seen = []
 
     def first_feature(F):
-        sizes.append(F.shape[0])
+        seen.append((F.shape, F.flags.f_contiguous))
         return F[:, 0]
 
     v = pipe34.noise_steady(noise, CHUNK + 50, seed=9, stat=first_feature)
-    assert [n for n in sizes if n] == [CHUNK, 50]
+    block = (BLOCK_SAMPLES // 256, pipe34.layout.steady_length)
+    assert [s for s in seen if s[0][0]] == [(block, True)] * 9
     np.testing.assert_array_equal(v, full[:, 0])
 
 
@@ -98,9 +101,10 @@ def test_block_and_chunk_seams_keep_every_trial(pipe34, pulse256):
 
 def test_statistic_sees_whole_chunks(pipe34):
     # 4609 trials: the second chunk's 513 rows are transformed as blocks of
-    # 512 and 1, and BLAS rounds F @ a over a one-row block differently from
-    # the same row inside its chunk; with this a the last value differs by
-    # an ulp on x86-64 OpenBLAS, so a statistic applied per block fails here
+    # 512 and 1, and BLAS rounds F @ a over a one-row array differently from
+    # the same row inside a larger one; with this a the last value differs
+    # by an ulp on x86-64 OpenBLAS unless the one-row block is padded to the
+    # full block shape before the statistic sees it
     trials = CHUNK + BLOCK_SAMPLES // 256 + 1
     a = np.random.default_rng(0).standard_normal(pipe34.layout.steady_length)
     ref = [pipe34.steady_batch(normal(substream(5, (c,)), (stop - start, 256)))
@@ -158,21 +162,6 @@ def test_streams_are_byte_identical_for_one_to_four_workers(db5, case):
             mp.setattr(pipeline, "_worker_count", lambda: workers)
             got.append(streams())
     assert all(g == got[0] for g in got[1:])
-
-
-def test_statistic_runs_on_the_calling_thread_in_chunk_order(pipe34, noise):
-    seen = []
-
-    def record(F):
-        seen.append((threading.current_thread(), F.shape[0], F[:, 0].copy()))
-        return F[:, 0]
-
-    trials = 2 * CHUNK + 7
-    v = pipe34.noise_steady(noise, trials, seed=6, stat=record)
-    seen = [s for s in seen if s[1]]  # drop the empty chunk that fixes the value type
-    assert all(t is threading.current_thread() for t, _, _ in seen)
-    assert [n for _, n, _ in seen] == [CHUNK, CHUNK, 7]
-    np.testing.assert_array_equal(np.concatenate([f for _, _, f in seen]), v)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -250,6 +239,83 @@ def test_no_later_chunk_is_transformed_after_a_failing_block(pipe34, noise, monk
         pipe34.noise_steady(noise, 2 * CHUNK, seed=1)
     assert next(counter) - 1 <= CHUNK // (BLOCK_SAMPLES // 256)
     assert not _block_workers()
+
+
+@pytest.mark.parametrize("length, scales", [(256, (3, 4)), (1024, (3, 4, 5, 6))])
+def test_a_statistic_does_not_depend_on_the_trial_count(db5, length, scales):
+    # the values of the first n trials are those of a longer call, where n
+    # ends a call after a few rows of a block, at a block or chunk seam or
+    # inside a later block; a statistic applied to whole chunks rounds F @ a
+    # by the chunk's row count, and fails here for the short calls
+    pipe = FeaturePipe.for_scales(length, db5, scales)
+    a = np.random.default_rng(length).standard_normal(pipe.layout.steady_length)
+    model, pulse = NoiseModel(sigma_n=1.1), make_chirp(length)
+    rows, longest = BLOCK_SAMPLES // length, 2 * CHUNK
+    streams = {
+        "noise": lambda n: pipe.noise_steady(model, n, seed=31, stat=lambda F: F @ a),
+        "obs": lambda n: pipe.obs_steady(pulse, -4.0, model, n, seed=32, stat=lambda F: F @ a),
+    }
+    for name, stream in streams.items():
+        want = stream(longest)
+        for n in (1, 2, 7, rows - 1, rows + 1, 1000, CHUNK - 1, CHUNK + 1, CHUNK + rows + 1,
+                  longest - 1):
+            np.testing.assert_array_equal(stream(n), want[:n], err_msg=f"{name}, {n} trials")
+
+
+def test_a_failing_statistic_stops_the_stream(pipe34, noise, monkeypatch):
+    # the statistic fails slowly on every block of the first chunk; no block
+    # of the second chunk may be transformed meanwhile, and every worker has
+    # stopped when the error leaves the stream
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+    counter = itertools.count(1)
+    steady_batch = FeaturePipe.steady_batch
+
+    def counted(self, X):
+        next(counter)
+        return steady_batch(self, X)
+
+    def slow_failure(F):
+        if not len(F):
+            return F[:, 0]
+        time.sleep(0.2)
+        raise RuntimeError("statistic failed")
+
+    monkeypatch.setattr(FeaturePipe, "steady_batch", counted)
+    with pytest.raises(RuntimeError, match="statistic failed"):
+        pipe34.noise_steady(noise, 2 * CHUNK, seed=1, stat=slow_failure)
+    assert next(counter) - 1 <= CHUNK // (BLOCK_SAMPLES // 256)
+    assert not _block_workers()
+
+
+def test_two_threads_streaming_at_once_get_the_values_of_sequential_calls(
+        pipe34, pulse256, noise, monkeypatch):
+    # more block workers than cores and a short switch interval, so that the
+    # two streams' workers interleave often
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 3)
+    a = np.random.default_rng(5).standard_normal(pipe34.layout.steady_length)
+    trials = CHUNK + 700
+    calls = (lambda: pipe34.noise_steady(noise, trials, seed=13, stat=lambda F: F @ a),
+             lambda: pipe34.obs_steady(pulse256, np.linspace(-9.0, 0.0, trials), noise, trials,
+                                       seed=14))
+    want = [call() for call in calls]
+    got = [None, None]
+
+    def run(k):
+        got[k] = calls[k]()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def _block_workers():
