@@ -157,12 +157,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     pipe = FeaturePipe(filters, ts.layout)
     det = calibrate_bias(svm, model, pipe, args.pfa, args.cal_trials,
                          derive_seed(args.seed, 9))
-    io.write_detector(args.out, det, filters.family_name, pulse.length, extras={
-        "c_plus": repr(svm.c_plus), "c_minus": repr(svm.c_minus),
-        "kkt_tolerance": repr(svm.kkt_tolerance), "converged": str(svm.converged),
-        "support_count": str(svm.support_count), "n_passes": str(svm.n_passes),
-        "dual_objective": repr(svm.dual_objective),
-    })
+    io.write_detector(args.out, det, filters.family_name, pulse.length, extras=svm.fit_fields())
     print(
         f"trained on {ts.n_patterns} patterns: {svm.support_count} support vectors, "
         f"dual objective {svm.dual_objective!r}, passes {svm.n_passes} -> {args.out}"

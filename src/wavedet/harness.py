@@ -46,7 +46,8 @@ from .optimum import optimum_a
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, _check_band, make_chirp, make_observation
-from .svm import SvmModel, _check_smo_args, build_training_set, decision, tune_c_for_pfa
+from .svm import (SvmModel, _FIT_FIELDS, _check_smo_args, build_training_set, decision,
+                  tune_c_for_pfa)
 from .wavelet import (ScaleLayout, _check_scales, _detector_id, _require_pow2, _set_label,
                       parse_family)
 
@@ -68,12 +69,6 @@ _DEFAULT_C_GRID = tuple(
 
 # substream purposes hanging off the root seed
 _P_TRAIN, _P_TUNE, _P_SVMCURVE, _P_BASECAL, _P_BASECURVE, _P_VTMC, _P_CHECKOBS = range(1, 8)
-
-# the fit fields that run_experiment appends to an svm_<label>.det header, in
-# order; experiment check reads back these and no others
-_SVM_FIT_FIELDS = ("c_plus", "c_minus", "kkt_tolerance", "converged", "support_count",
-                   "alpha_sum", "alpha_max")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -328,11 +323,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
                             _provenance(cfg, chash, b, kind))
         write_detector(os.path.join(out_dir, f"optimum_{label}.det"), det_opt,
                        cfg.family, cfg.length)
-        fit = (repr(model.c_plus), repr(model.c_minus), repr(model.kkt_tolerance),
-               str(model.converged), str(model.support_count),
-               repr(float(np.sum(model.alphas))), repr(float(np.max(model.alphas))))
         write_detector(os.path.join(out_dir, f"svm_{label}.det"), det_svm, cfg.family,
-                       cfg.length, extras=dict(zip(_SVM_FIT_FIELDS, fit, strict=True)))
+                       cfg.length, extras=model.fit_fields())
 
     checks.extend(_structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]))
     report = ExperimentReport(config=cfg, config_hash=chash, labels=labels, **curves,
@@ -539,11 +531,11 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                                      _detector_id(kind, b))
                 fit = None
                 if kind == "svm":
-                    lacking = [k for k in _SVM_FIT_FIELDS if k not in extras]
+                    lacking = [k for k in _FIT_FIELDS if k not in extras]
                     if lacking:
                         raise ValueError(f"header lacks the fit fields {', '.join(lacking)}")
                     # the config fixes kkt_tolerance; only the fit measured the others
-                    fit = {k: extras[k] for k in _SVM_FIT_FIELDS}
+                    fit = {k: extras[k] for k in _FIT_FIELDS}
                     fit["kkt_tolerance"] = repr(cfg.kkt_tolerance)
             except (OSError, ValueError) as e:
                 fail(f"cannot check {path}: {e}")

@@ -111,6 +111,12 @@ class TrainingSet:
         return int(self.X.shape[0])
 
 
+# the fit fields that a trained detector's .det header records, in order;
+# experiment check reads back these and no others
+_FIT_FIELDS = ("c_plus", "c_minus", "kkt_tolerance", "converged", "support_count", "n_passes",
+               "dual_objective")
+
+
 @dataclass(frozen=True)
 class SvmModel:
     """Dual solution plus the recovered primal weight vector and bias."""
@@ -154,6 +160,12 @@ class SvmModel:
     @property
     def support_count(self) -> int:
         return int(np.count_nonzero(self.alphas > 0))
+
+    def fit_fields(self) -> dict[str, str]:
+        """The fit as a .det header records it, keyed by _FIT_FIELDS."""
+        return dict(zip(_FIT_FIELDS, (
+            repr(self.c_plus), repr(self.c_minus), repr(self.kkt_tolerance), str(self.converged),
+            str(self.support_count), str(self.n_passes), repr(self.dual_objective)), strict=True))
 
 
 def build_training_set(

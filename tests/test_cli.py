@@ -127,7 +127,9 @@ def test_train_writes_model_summary(tmp_path, pulse_file):
                  "--seed", "7", "--cal-trials", "10000", "--out", str(det)]) == 0
     model, family, n, extras = io.read_detector(det)
     assert model.detector_id.startswith("svm-")
-    assert "dual_objective" in extras and "support_count" in extras
+    # the fit fields that `experiment run` writes too
+    assert list(extras) == ["c_plus", "c_minus", "kkt_tolerance", "converged", "support_count",
+                            "n_passes", "dual_objective"]
     assert extras["converged"] == "True"
 
 

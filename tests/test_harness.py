@@ -19,6 +19,7 @@ from wavedet import (
     parse_config_text,
     run_experiment,
 )
+from wavedet.io import read_detector
 
 MINI = dict(
     length=256,
@@ -178,6 +179,12 @@ def test_outputs_exist_and_verify(mini_run):
             f"optimum_{label}.det", f"svm_{label}.det",
         }
     assert expected <= set(os.listdir(out))
+    # the fit fields that `wavedet train` writes too
+    for label in report.labels:
+        extras = read_detector(out / f"svm_{label}.det")[3]
+        assert list(extras) == ["c_plus", "c_minus", "kkt_tolerance", "converged",
+                                "support_count", "n_passes", "dual_objective"]
+        assert int(extras["n_passes"]) >= 1
     ok, messages = experiment_check(str(out))
     assert ok, messages
     checks = (out / "checks.txt").read_text().strip().splitlines()
@@ -324,6 +331,7 @@ def _append_to(name, text):
      ("svm_d3.det", "kkt_tolerance=0.5")),
     (_replace_in("svm_d3.det", "; support_count=", "; supportcount="),
      ("svm_d3.det", "support_count")),
+    (_replace_in("svm_d3.det", "; n_passes=", "; passes="), ("svm_d3.det", "n_passes")),
     # an SVM file that loads as a max-coefficient detector holds no weights
     (_replace_in("svm_d3.det", "kind=linear", "kind=max-coeff"), ("svm_d3.det", "linear")),
     (_drop_last_row("svm_d3.csv"), ("svm_d3.csv", "4 rows")),
@@ -336,7 +344,7 @@ def _append_to(name, text):
         "checks-fail-line", "svm-curve-id-changed", "baseline-note-added",
         "optimum-detector-id-changed", "svm-cal-trials-changed", "svm-calibration-analytic",
         "svm-rng-changed", "svm-fit-note-added", "svm-kkt-tolerance-changed",
-        "svm-fit-field-missing", "svm-kind-max-coeff", "svm-last-row-deleted",
+        "svm-fit-field-missing", "svm-passes-missing", "svm-kind-max-coeff", "svm-last-row-deleted",
         "config-comment-added"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run
