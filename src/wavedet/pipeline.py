@@ -172,11 +172,13 @@ class FeaturePipe:
                             return
                     F = self.steady_batch(X)
                     if m < rows:
-                        # column-major like a full block's masked features, so
-                        # that a statistic such as F @ a runs the same BLAS
-                        # kernel, and rounds the same, on every block
-                        F, short = np.zeros((rows, width), order="F"), F
-                        F[:m] = short
+                        # zero rows pad a short block to the full block shape,
+                        # column-major like a full block's features, so that a
+                        # statistic such as F @ a runs the same BLAS kernel,
+                        # and rounds the same, on every block
+                        padded = np.zeros((rows, width), order="F")
+                        padded[:m] = F
+                        F = padded
                     out[start + i:start + i + m] = stat(F)[:m]
                     with state:
                         pending[c] -= 1
