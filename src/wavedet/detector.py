@@ -10,7 +10,11 @@ Both the analytic model built on that fact and seeded Monte Carlo
 estimators are provided, plus the max-absolute-coefficient baseline.  The
 baseline's threshold has a closed form under the same model, Pfa = 1 -
 (1 - 2 Q(t / sigma_n))^d over d steady coefficients, but it is calibrated
-by Monte Carlo by choice.
+by Monte Carlo by choice.  The pyramid is linear, so a Monte Carlo Pd
+curve draws noise features F once, on a path of its own, and scores every
+SNR point on F + A mu (common random numbers): each point is still
+Binomial(trials, Pd), but the points are correlated, and a linear
+detector's curve is non-decreasing in SNR.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 from scipy.special import erfc, ndtri
 
 from .pipeline import FeaturePipe
-from .rng import RNG_ID, derive_seed
-from .signals import NoiseModel, SampledSignal, amplitude
+from .rng import RNG_ID
+from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
 from .wavelet import DetailCoefficients, ScaleLayout, _detector_id, tally_madds
 
 __all__ = [
@@ -47,6 +51,10 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+# a Pd curve's noise path: never a threshold's calibration noise (path ())
+# nor a training set's (paths (0,), (1,), (2,)) at the same seed
+_CURVE_PATH = (3,)
 
 
 def qfunc(x: float) -> float:
@@ -321,17 +329,28 @@ def _rate(hits: int, trials: int) -> tuple[float, float]:
 def estimate_pd(
     det: LinearDetector | MaxCoeffDetector,
     pulse: SampledSignal,
-    snr_db: float,
+    snr_grid: Sequence[float],
     model: NoiseModel,
     trials: int,
     seed: int,
     pipe: FeaturePipe,
-) -> tuple[float, float]:
-    """Monte Carlo Pd at one SNR: fraction of H1 trials with v > V_T."""
+) -> list[tuple[float, float]]:
+    """Monte Carlo (Pd, stderr) at each SNR of a grid, all from one noise draw.
+
+    Pd counts trials with v > V_T on F + A_k mu: noise features on the curve's
+    path plus the pulse's steady details at each amplitude, so a point
+    depends only on (seed, SNR, trials), not on the rest of the grid."""
+    grid = [float(s) for s in snr_grid]
+    _check_snr_grid(grid)
     _check_trials(trials)
     _require_layout("pipe", pipe.layout, det.layout)
-    v = pipe.obs_steady(pulse, float(snr_db), model, trials, seed, stat=_steady_stat_fn(det))
-    return _rate(int(np.count_nonzero(v > det.v_threshold)), trials)
+    if pulse.hypothesis is not Hypothesis.TEMPLATE:
+        raise ValueError("expected a pulse template")
+    shifts = amplitude(np.array(grid), model)[:, None] * pipe.details_of(pulse).steady_values()
+    fn = _steady_stat_fn(det)
+    V = pipe.noise_steady(model, trials, seed, _CURVE_PATH,
+                          stat=lambda F: np.column_stack([fn(F + s) for s in shifts]))
+    return [_rate(h, trials) for h in np.count_nonzero(V > det.v_threshold, axis=0).tolist()]
 
 
 def realized_pfa_mc(
@@ -344,7 +363,7 @@ def realized_pfa_mc(
     """Empirical Pfa of several same-layout detectors on one noise stream.
 
     Sharing the stream keeps the estimates paired, which tightens
-    comparisons between detectors evaluated at the same operating point.
+    comparisons between detectors, such as the tuner's C grid points.
     """
     _check_trials(trials)
     for det in dets:
@@ -389,16 +408,11 @@ def sweep_curve(
     seed: int,
     pipe: FeaturePipe,
 ) -> DetectionCurve:
-    """One estimate_pd per grid point, each on its own derived substream."""
-    grid = [float(s) for s in snr_grid]
-    _check_snr_grid(grid)
-    points = []
-    for j, snr in enumerate(grid):
-        pd, se = estimate_pd(det, pulse, snr, model, trials, derive_seed(seed, j), pipe)
-        points.append((snr, pd, se))
+    """The Pd curve of ``det`` over ``snr_grid``: one estimate_pd call, one noise draw."""
+    points = estimate_pd(det, pulse, snr_grid, model, trials, seed, pipe)
     return DetectionCurve(
         pfa=det.target_pfa,
-        points=tuple(points),
+        points=tuple((snr, *pt) for snr, pt in zip(snr_grid, points)),
         detector_id=det.detector_id,
         trials_per_point=int(trials),
         seed=int(seed),

@@ -226,7 +226,7 @@ class FeaturePipe:
     def obs_steady(
         self,
         pulse: SampledSignal,
-        snr_db,
+        snr_db: np.ndarray,
         model: NoiseModel,
         trials: int,
         seed: int,
@@ -235,23 +235,19 @@ class FeaturePipe:
     ) -> np.ndarray:
         """Pulse-plus-noise trials: ``stat`` of each trial's steady features.
 
-        ``snr_db`` is a scalar applied to every trial or a length-``trials``
-        vector giving each trial its own SNR.  ``stat`` is applied as in
-        ``noise_steady``.
+        ``snr_db`` is a length-``trials`` vector giving each trial its own
+        SNR.  ``stat`` is applied as in ``noise_steady``.
         """
         if pulse.hypothesis is not Hypothesis.TEMPLATE:
             raise ValueError("expected a pulse template")
         if pulse.length != self.length:
             raise ValueError(f"pulse length {pulse.length} does not match the pipe's "
                              f"signal length {self.length}")
-        snr = np.asarray(snr_db, dtype=np.float64)
-        per_trial = snr.ndim == 1
-        if per_trial and snr.shape[0] != trials:
-            raise ValueError("per-trial snr vector length must equal trials")
-        amps = amplitude(snr, model)
+        amps = amplitude(snr_db, model)
+        if amps.shape != (trials,):
+            raise ValueError("snr_db must hold one SNR per trial")
 
         def add_pulse(X: np.ndarray, lo: int, hi: int) -> None:
-            a = amps[lo:hi, None] if per_trial else float(amps)
-            X += a * pulse.samples
+            X += amps[lo:hi, None] * pulse.samples
 
         return self._stream(model, trials, seed, path, add_pulse, stat)

@@ -60,7 +60,7 @@ _PATH_SNR, _PATH_POS, _PATH_NEG = 0, 1, 2
 _BOUND_SNAP = 1e-12  # relative snap of beta onto 0 and its box bound
 
 # tune_c_for_pfa: admissible realized Pfa lies within this factor of the
-# target, and validation Pd is estimated from this many trials per SNR
+# target, and validation Pd comes from this many trials, shared by every SNR
 _PFA_SLACK = 2.0
 _VAL_TRIALS = 500
 
@@ -351,15 +351,15 @@ def tune_c_for_pfa(
     kkt_tolerance: float = 1e-3,
     max_passes: int = 10_000,
 ) -> tuple[SvmModel, LinearDetector]:
-    """Train per grid point, calibrate each, keep the best admissible model.
+    """Train and calibrate every grid point, keep the best admissible model.
 
-    Admissible means the realized false-alarm rate on an independent noise
-    set lies within a factor of 2 of the target; among admissible
-    models the one with the highest mean validation Pd over the training
-    SNR grid wins (first grid point on ties).  ``noise`` and ``pipe`` must
-    be the ones that drew ``ts``; a pipe on another layout is rejected
-    before any training.  Fully deterministic given (ts, pipe, noise,
-    pulse, seed).
+    Admissible means the realized false-alarm rate, on one noise set shared
+    by every point, lies within a factor of 2 of the target; among those
+    the highest mean validation Pd over the training SNR grid wins (first
+    on ties), every point validated on the same noise.  ``noise`` and
+    ``pipe`` must be the ones that drew ``ts``; a pipe on another layout is
+    rejected before any training.  Fully deterministic given (ts, pipe,
+    noise, pulse, seed).
     """
     grid = [(float(cp), float(cm)) for cp, cm in c_grid]
     if not grid:
@@ -368,28 +368,17 @@ def tune_c_for_pfa(
     lo, hi = ts.snr_range
     val_grid = np.arange(lo, hi + 1e-9, 1.0)
     gram = ts.X @ ts.X.T  # shared by every grid point, freed on return
+    models = [train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, gram=gram)
+              for cp, cm in grid]
+    dets = [calibrate_bias(m, noise, pipe, target_pfa, validation_noise_trials,
+                           derive_seed(seed, gi, 0)) for gi, m in enumerate(models)]
+    pfas = realized_pfa_mc(dets, noise, validation_noise_trials, derive_seed(seed, 1), pipe)
     best: tuple[float, SvmModel, LinearDetector] | None = None
-    for gi, (cp, cm) in enumerate(grid):
-        svm_model = train(
-            ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, gram=gram
-        )
-        det = calibrate_bias(
-            svm_model, noise, pipe, target_pfa, validation_noise_trials,
-            derive_seed(seed, gi, 0),
-        )
-        pfa_hat, _ = realized_pfa_mc(
-            [det], noise, validation_noise_trials, derive_seed(seed, gi, 1), pipe
-        )[0]
+    for svm_model, det, (pfa_hat, _) in zip(models, dets, pfas):
         if not target_pfa / _PFA_SLACK <= pfa_hat <= target_pfa * _PFA_SLACK:
             continue
-        pd_sum = 0.0
-        for pj, snr in enumerate(val_grid):
-            pd, _ = estimate_pd(
-                det, pulse, float(snr), noise, _VAL_TRIALS,
-                derive_seed(seed, gi, 2, pj), pipe,
-            )
-            pd_sum += pd
-        mean_pd = pd_sum / val_grid.shape[0]
+        pds = estimate_pd(det, pulse, val_grid, noise, _VAL_TRIALS, derive_seed(seed, 2), pipe)
+        mean_pd = sum(pd for pd, _ in pds) / val_grid.shape[0]
         if best is None or mean_pd > best[0]:
             best = (mean_pd, svm_model, det)
     if best is None:

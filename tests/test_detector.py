@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest
 
 from wavedet import (
     Calibration,
@@ -9,6 +10,7 @@ from wavedet import (
     LinearDetector,
     NoiseModel,
     RNG_ID,
+    amplitude,
     analytic_stats,
     calibrate_max_coeff,
     estimate_pd,
@@ -22,7 +24,9 @@ from wavedet import (
     threshold_for_pfa_analytic,
     threshold_for_pfa_mc,
 )
+from wavedet import detector, pipeline
 from wavedet.detector import _empirical_upper_quantile
+from wavedet.rng import CHUNK
 
 # frozen high-precision values of the Gaussian upper-tail quantile
 QINV_ORACLE = {
@@ -139,12 +143,87 @@ def test_mc_threshold_requires_enough_trials(pipe34, noise):
 
 
 def test_estimate_pd_matches_analytic(pipe34, pulse256, noise):
+    # each point's count is Binomial(trials, Pd) however the points are
+    # correlated, so an exact two-sided test per point at level 1e-4 / 3
+    # fails a correct estimator with probability at most 1e-4 (Bonferroni)
     d = pipe34.details_of(pulse256)
     det = optimum_a(d, 1e-2, noise)
-    st = analytic_stats(d, det.a, -8.0, noise, det.v_threshold)
-    pd_hat, se = estimate_pd(det, pulse256, -8.0, noise, 20_000, 17, pipe34)
-    assert se == pytest.approx(np.sqrt(pd_hat * (1 - pd_hat) / 20_000))
-    assert abs(pd_hat - st.pd) < 4 * max(se, 1e-4)
+    grid, trials = (-12.0, -9.0, -6.0), 20_000
+    points = estimate_pd(det, pulse256, grid, noise, trials, 17, pipe34)
+    assert len(points) == len(grid)
+    for snr, (pd_hat, se) in zip(grid, points):
+        st = analytic_stats(d, det.a, snr, noise, det.v_threshold)
+        assert 0.05 < st.pd < 0.95
+        assert se == pytest.approx(np.sqrt(pd_hat * (1 - pd_hat) / trials))
+        assert binomtest(round(pd_hat * trials), trials, st.pd).pvalue > 1e-4 / len(grid)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_curve_point_does_not_depend_on_the_rest_of_the_grid(
+        pipe34, pulse256, noise, monkeypatch, workers):
+    dets = (optimum_a(pipe34.details_of(pulse256), 1e-2, noise),
+            calibrate_max_coeff(pipe34, noise, 1e-2, 20_000, seed=3))
+    grid, trials = (-12.0, -10.0, -8.0, -6.0, -4.0), CHUNK + 700
+    want = [estimate_pd(det, pulse256, grid, noise, trials, 41, pipe34) for det in dets]
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    for det, full in zip(dets, want):
+        for sub in ((-8.0,), (-12.0, -4.0), (-10.0, -8.0, -6.0)):
+            got = estimate_pd(det, pulse256, sub, noise, trials, 41, pipe34)
+            assert got == [full[grid.index(s)] for s in sub], (det.detector_id, sub)
+
+
+def test_a_linear_detectors_curve_is_non_decreasing(pipe34, pulse256, noise):
+    # 41 points 0.1 dB apart: on a fresh draw per point, neighbouring
+    # estimates 2,000 trials each cross almost surely; on one shared draw a
+    # trial's statistic grows with the amplitude, so no count can fall
+    det = optimum_a(pipe34.details_of(pulse256), 1e-2, noise)
+    curve = sweep_curve(det, pulse256, np.linspace(-12.0, -8.0, 41), noise, 2000, 5, pipe34)
+    pd = curve.pd_values()
+    assert 0.0 < pd[0] < pd[-1] < 1.0
+    assert np.all(np.diff(pd) >= 0.0), pd
+
+
+def test_estimate_pd_counts_hits_on_noise_features_plus_the_scaled_pulse(
+        pipe34, pulse256, noise):
+    grid, trials, seed = (-10.0, -7.0, -4.0), CHUNK + 300, 23
+    mu = pipe34.details_of(pulse256).steady_values()
+    F = pipe34.noise_steady(noise, trials, seed, path=detector._CURVE_PATH)
+    amps = amplitude(np.array(grid), noise)
+    det_opt = optimum_a(pipe34.details_of(pulse256), 1e-2, noise)
+    det_max = calibrate_max_coeff(pipe34, noise, 1e-2, 20_000, seed=3)
+    got_opt = estimate_pd(det_opt, pulse256, grid, noise, trials, seed, pipe34)
+    got_max = estimate_pd(det_max, pulse256, grid, noise, trials, seed, pipe34)
+    for k, X in enumerate(F + amp * mu for amp in amps):
+        v_max = np.max(np.abs(X), axis=1)
+        assert got_max[k][0] == np.count_nonzero(v_max > det_max.v_threshold) / trials
+        # BLAS may round X @ a otherwise than the stream; ties may go either way
+        v = X @ det_opt.steady_a()
+        ties = np.abs(v - det_opt.v_threshold) <= 1e-9
+        clear_hits = np.count_nonzero((v > det_opt.v_threshold) & ~ties)
+        assert clear_hits <= got_opt[k][0] * trials <= clear_hits + np.count_nonzero(ties)
+        assert 0 < clear_hits < trials
+
+
+def test_a_curve_swept_at_its_calibration_seed_draws_other_noise(pipe34, pulse256, noise):
+    # at -300 dB the pulse vanishes; scored on its own calibration noise, a
+    # threshold at the ceil((1 - pfa) n)-th order statistic would count
+    # n - ceil((1 - pfa) n) exceedances, give or take one that rounding
+    # moves.  On fresh noise the count is Binomial(n, pfa), whose largest
+    # pmf value is below 0.041 here, so it lands within one of that with
+    # probability below 0.123 per seed, and at all six seeds below 4e-6
+    n, pfa = 10_000, 0.01
+    reused = n - int(np.ceil((1.0 - pfa) * n))
+    a = optimum_a(pipe34.details_of(pulse256), pfa, noise).a
+    near = []
+    for seed in range(5, 11):
+        vt = threshold_for_pfa_mc(a, pipe34, noise, pfa, n, seed)
+        dets = (calibrate_max_coeff(pipe34, noise, pfa, n, seed),
+                LinearDetector(a=a, layout=pipe34.layout, v_threshold=vt, target_pfa=pfa,
+                               calibration=Calibration("monte_carlo", n, seed)))
+        for det in dets:
+            (pd, _), = estimate_pd(det, pulse256, (-300.0,), noise, n, seed, pipe34)
+            near.append(abs(round(pd * n) - reused) <= 1)
+    assert not all(near), near
 
 
 def test_realized_pfa_shares_one_stream(pipe34, noise):

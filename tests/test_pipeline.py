@@ -149,7 +149,7 @@ def test_streams_are_byte_identical_for_one_to_four_workers(db5, case):
     a = np.random.default_rng(length).standard_normal(pipe.layout.steady_length)
     stat = (lambda F: F @ a) if kind == "dot" else (lambda F: np.abs(F).max(axis=1))
     model = NoiseModel(sigma_n=0.8)
-    snr = np.linspace(-8.0, 1.0, trials) if per_trial else -3.0
+    snr = np.linspace(-8.0, 1.0, trials) if per_trial else np.full(trials, -3.0)
 
     def streams():
         return (pipe.noise_steady(model, trials, seed=11, path=(2,), stat=stat).tobytes(),
@@ -253,7 +253,8 @@ def test_a_statistic_does_not_depend_on_the_trial_count(db5, length, scales):
     rows, longest = BLOCK_SAMPLES // length, 2 * CHUNK
     streams = {
         "noise": lambda n: pipe.noise_steady(model, n, seed=31, stat=lambda F: F @ a),
-        "obs": lambda n: pipe.obs_steady(pulse, -4.0, model, n, seed=32, stat=lambda F: F @ a),
+        "obs": lambda n: pipe.obs_steady(pulse, np.full(n, -4.0), model, n, seed=32,
+                                         stat=lambda F: F @ a),
     }
     for name, stream in streams.items():
         want = stream(longest)
@@ -328,19 +329,15 @@ def test_no_block_worker_outlives_its_stream(pipe34, noise):
     assert not _block_workers()
 
 
-def test_obs_stream_scalar_and_vector_snr(pipe34, pulse256, noise):
-    scalar = pipe34.obs_steady(pulse256, -5.0, noise, 8, seed=4)
-    vector = pipe34.obs_steady(
-        pulse256, np.full(8, -5.0), noise, 8, seed=4
-    )
-    np.testing.assert_array_equal(scalar, vector)
-    with pytest.raises(ValueError):
-        pipe34.obs_steady(pulse256, np.zeros(7), noise, 8, seed=4)
+def test_obs_stream_takes_one_snr_per_trial(pipe34, pulse256, noise):
+    for snr in (-5.0, np.zeros(7), np.zeros((8, 1))):
+        with pytest.raises(ValueError, match="one SNR per trial"):
+            pipe34.obs_steady(pulse256, snr, noise, 8, seed=4)
 
 
 def test_obs_equals_noise_plus_scaled_template(pipe34, pulse256, noise):
     # the transform is linear, so features superpose exactly up to rounding
-    obs = pipe34.obs_steady(pulse256, 0.0, noise, 16, seed=11)
+    obs = pipe34.obs_steady(pulse256, np.zeros(16), noise, 16, seed=11)
     noi = pipe34.noise_steady(noise, 16, seed=11)
     tmpl = pipe34.details_of(pulse256).steady_values()
     np.testing.assert_allclose(obs, noi + tmpl, rtol=0, atol=1e-12)
@@ -356,4 +353,4 @@ def test_pipe_rejects_wrong_template_length(pipe34, noise):
     with pytest.raises(ValueError):
         pipe34.details_of(short)
     with pytest.raises(ValueError, match="pulse length 128 .* signal length 256"):
-        pipe34.obs_steady(short, 0.0, noise, 8, seed=1)
+        pipe34.obs_steady(short, np.zeros(8), noise, 8, seed=1)

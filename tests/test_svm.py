@@ -343,15 +343,46 @@ def test_tune_c_shares_one_gram_matrix_across_grid_points(
     monkeypatch, pulse256, pipe34, db5, noise
 ):
     ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
-    grams, real_train = [], svm_module.train
+    grams, cs, real_train = [], [], svm_module.train
 
     def spy(*args, **kwargs):
         grams.append(kwargs.get("gram"))
+        cs.append(args[1:3])
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(svm_module, "train", spy)
     grid = ((0.5, 5.0), (1.0, 10.0), (2.0, 20.0))
     tune_c_for_pfa(ts, noise, pipe34, 0.05, grid, 4000, 8, pulse256)
-    assert len(grams) == len(grid)
+    assert cs == list(grid)  # one fit per grid point, in grid order
     assert grams[0] is not None and all(g is grams[0] for g in grams)
     np.testing.assert_array_equal(grams[0], ts.X @ ts.X.T)
+
+
+def test_tune_c_scores_every_grid_point_on_shared_noise(monkeypatch, pulse256, pipe34, db5, noise):
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
+    pfa_calls, validations = [], []
+    real_pfa, real_pd = svm_module.realized_pfa_mc, svm_module.estimate_pd
+
+    def pfa_spy(dets, *args):
+        pfa_calls.append(list(dets))
+        return real_pfa(dets, *args)
+
+    def pd_spy(det, pulse, grid, model, trials, seed, pipe):
+        validations.append((det, list(grid), seed))
+        return real_pd(det, pulse, grid, model, trials, seed, pipe)
+
+    monkeypatch.setattr(svm_module, "realized_pfa_mc", pfa_spy)
+    monkeypatch.setattr(svm_module, "estimate_pd", pd_spy)
+    grid = ((0.5, 5.0), (1.0, 10.0), (2.0, 20.0))
+    _, det = tune_c_for_pfa(ts, noise, pipe34, 0.05, grid, 4000, 8, pulse256)
+    # one realized-Pfa draw scores the calibrated detector of every grid point
+    assert len(pfa_calls) == 1 and len(pfa_calls[0]) == len(grid)
+    assert len({d.calibration.seed for d in pfa_calls[0]}) == len(grid)
+    # each admissible point is validated once, over the whole SNR grid, all
+    # on one seed, and the winner is one of them
+    assert len(validations) >= 2
+    order = [[d is e for e in pfa_calls[0]].index(True) for d, _, _ in validations]
+    assert order == sorted(set(order))
+    assert all(g == list(np.arange(-12.0, 0.5, 1.0)) for _, g, _ in validations)
+    assert len({seed for _, _, seed in validations}) == 1
+    assert any(d is det for d, _, _ in validations)
