@@ -18,6 +18,7 @@ from . import io
 from .detector import (
     Calibration,
     LinearDetector,
+    snr_grid,
     sweep_curve,
     threshold_for_pfa_analytic,
     threshold_for_pfa_mc,
@@ -29,7 +30,6 @@ from .harness import (
     experiment_check,
     parse_config_text,
     run_experiment,
-    snr_grid,
 )
 from .optimum import optimum_a
 from .pipeline import FeaturePipe

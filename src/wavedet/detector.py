@@ -48,6 +48,7 @@ __all__ = [
     "max_coeff_baseline",
     "calibrate_max_coeff",
     "sweep_curve",
+    "snr_grid",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -104,6 +105,19 @@ def _check_snr_grid(snrs: Sequence[float]) -> None:
         raise ValueError("snr grid must be non-empty and finite")
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise ValueError("snr grid must be strictly increasing")
+
+
+def snr_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """lo, lo + step, ... up to hi inclusive (within 1e-9 of a step)."""
+    for name, v in (("snr_min", lo), ("snr_max", hi), ("snr_step", step)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if not lo < hi:
+        raise ValueError(f"snr_min {lo} must be below snr_max {hi}")
+    if step <= 0:
+        raise ValueError(f"snr_step must be positive, got {step}")
+    k = int(math.floor((hi - lo) / step + 1e-9))
+    return tuple(lo + i * step for i in range(k + 1))
 
 
 def _check_steady_nonempty(layout: ScaleLayout) -> None:

@@ -29,6 +29,7 @@ from .detector import (
     _sigma_v,
     analytic_stats,
     calibrate_max_coeff,
+    snr_grid,
     statistic,
     sweep_curve,
     threshold_for_pfa_mc,
@@ -60,12 +61,16 @@ __all__ = [
     "parse_config_text",
     "canonical_config_text",
     "config_hash",
-    "snr_grid",
 ]
 
 _DEFAULT_C_GRID = tuple(
     (cp, cm) for cp in (0.1, 1.0, 10.0) for cm in (1.0, 10.0, 100.0)
 )
+
+# relative drift allowed between a stored closed-form value (optimum weights
+# and threshold, theory Pd) and experiment check's re-derivation of it: BLAS
+# on another CPU may round the pyramid and the norms a few ulps differently
+_REDERIVE_RTOL = 1e-9
 
 # substream purposes hanging off the root seed
 _P_TRAIN, _P_TUNE, _P_SVMCURVE, _P_BASECAL, _P_BASECURVE, _P_VTMC, _P_CHECKOBS = range(1, 8)
@@ -130,19 +135,6 @@ class ExperimentConfig:
 
     def snr_grid(self) -> tuple[float, ...]:
         return snr_grid(self.snr_min, self.snr_max, self.snr_step)
-
-
-def snr_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """lo, lo + step, ... up to hi inclusive (within 1e-9 of a step)."""
-    for name, v in (("snr_min", lo), ("snr_max", hi), ("snr_step", step)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-    if not lo < hi:
-        raise ValueError(f"snr_min {lo} must be below snr_max {hi}")
-    if step <= 0:
-        raise ValueError(f"snr_step must be positive, got {step}")
-    k = int(math.floor((hi - lo) / step + 1e-9))
-    return tuple(lo + i * step for i in range(k + 1))
 
 
 # -- config text format -------------------------------------------------------
@@ -463,10 +455,13 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     Each curve and detector file must hold, byte for byte, what its io
     writer renders for the object rebuilt from two sources: what the config
     fixes (provenance, id, Pfa, SNR grid, trials, seeds, layout, family,
-    calibration) and what only the run could measure, read back from the
-    file itself (Pd and stderr columns; weights, threshold, the SVM
-    calibration seed and the fit fields other than kkt_tolerance).  The
-    curves must pass the dominance and ceiling checks that run_experiment
+    calibration) and the values read back from the file itself (Pd and
+    stderr columns; weights, threshold, the SVM calibration seed and the
+    fit fields other than kkt_tolerance).  The config also fixes the
+    optimum detectors and theory curves in closed form, so their weights,
+    thresholds and Pd values must match a re-derivation within a relative
+    _REDERIVE_RTOL, which admits another CPU's BLAS rounding.  The curves
+    must pass the dominance and ceiling checks that run_experiment
     applies, gaps.csv must be the table rendered from them and config.txt
     its own canonical text, and checks.txt must record no FAIL and end in
     VALID.
@@ -475,6 +470,13 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
 
     def fail(msg: str) -> None:
         messages.append("FAIL " + msg)
+
+    def rederive(path: str, what: str, stored, derived) -> None:
+        """A stored closed-form value (never zero) must match its re-derivation."""
+        drift = np.linalg.norm(np.subtract(stored, derived)) / np.linalg.norm(derived)
+        if not drift <= _REDERIVE_RTOL:
+            fail(f"{path}: {what} differs from its re-derivation from the config by "
+                 f"{drift:.3g} relative, allowed {_REDERIVE_RTOL:g}")
 
     def compare(path: str, expected: bytes) -> None:
         """The one byte comparison: ``path`` must hold what its writer renders."""
@@ -501,10 +503,17 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     chash = config_hash(cfg)
     grid = cfg.snr_grid()
     filters = parse_family(cfg.family)
+    noise = NoiseModel(sigma_n=cfg.sigma_n)
+    pulse = make_chirp(cfg.length, cfg.f_start, cfg.f_end)
     labels = tuple(_set_label(b) for b in cfg.scale_sets)
     curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
     for bi, (label, b) in enumerate(zip(labels, cfg.scale_sets)):
         plans = _curve_plans(cfg, bi)
+        layout = ScaleLayout(b, cfg.length, filters.length)
+        # run_experiment's own closed-form optimum detector and theory curve
+        pulse_details = FeaturePipe(filters, layout).details_of(pulse)
+        det_opt = optimum_a(pulse_details, cfg.pfa, noise)
+        theory = _theory_curve(pulse_details, det_opt, noise, grid, *plans["theory"])
         for kind, by_label in curves.items():
             path = os.path.join(out_dir, f"{kind}_{label}.csv")
             try:
@@ -517,8 +526,9 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                 fail(f"cannot check {path}: {e}")
                 continue
             by_label[label] = curve
+            if kind == "theory":
+                rederive(path, "pd", curve.pd_values(), theory.pd_values())
             compare(path, _curve_csv_bytes(curve, _provenance(cfg, chash, b, kind)))
-        layout = ScaleLayout(b, cfg.length, filters.length)
         for kind in ("optimum", "svm"):
             path = os.path.join(out_dir, f"{kind}_{label}.det")
             try:
@@ -540,6 +550,9 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
             except (OSError, ValueError) as e:
                 fail(f"cannot check {path}: {e}")
                 continue
+            if kind == "optimum":
+                rederive(path, "weights", det.a, det_opt.a)
+                rederive(path, "v_threshold", det.v_threshold, det_opt.v_threshold)
             compare(path, _detector_bytes(det, cfg.family, cfg.length, fit))
     # only a full set of rebuilt curves yields the structural checks and gaps.csv
     if all(len(by_label) == len(labels) for by_label in curves.values()):

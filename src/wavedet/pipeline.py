@@ -3,36 +3,33 @@
 A FeaturePipe fixes a filter pair and a scale layout built for the pair's
 filter length, which implies the signal length, and turns raw sample
 batches into concatenated detail vectors or their steady-range
-restrictions.  Monte Carlo streams are chunked: trial t always lands in
+restrictions.  The Monte Carlo stream is chunked: trial t always lands in
 chunk t // CHUNK with substream path (*path, chunk), so the realisation of
 trial t depends only on (seed, path, t), never on how many trials a caller
 asked for or in what order chunks were evaluated.
 
-``noise_steady`` and ``obs_steady`` are the only streams.  They apply a
-caller's row statistic (F @ a, max |F|, by default the features) to each
-block's column-major steady features and return its values in trial
-order.  BLAS picks its kernel, and so its rounding, from the operand's
-shape: F @ a over a one-row array rounds differently from the same row in
-a larger one.  So a short block is padded with zero rows to the full block
-shape before the statistic sees it, and the padding's values are dropped.
-The value of trial t then depends only on (seed, path, t), CHUNK and
-BLOCK_SAMPLES, never on how many trials a caller asked for.
+``noise_steady`` is the only stream.  It applies a caller's row statistic
+(F @ a, max |F|, by default the features) to each block's column-major
+steady features and returns its values in trial order.  Pulse-plus-noise
+trials need no stream of their own: the pyramid is linear, so a caller
+adds A * mu, the pulse's steady details scaled by its amplitude, to the
+noise features F.  BLAS picks its kernel, and so its rounding, from the
+operand's shape: F @ a over a one-row array rounds differently from the
+same row in a larger one.  So a short block is padded with zero rows to
+the full block shape before the statistic sees it, and the padding's
+values are dropped.  The value of trial t then depends only on (seed,
+path, t), CHUNK and BLOCK_SAMPLES, never on how many trials a caller asked
+for.
 
-Within a chunk, rows are drawn and transformed in blocks of about 1 MB of
-samples, so that a block's signal, padded rows and filter outputs stay in
-the L2 cache.  Successive draws from one substream continue it, so the
-blocks realise exactly the rows a single whole-chunk draw would.
-
-Each stream starts its own workers, at most one per usable CPU, and joins
+The stream starts its own workers, at most one per usable CPU, and joins
 them before it returns or raises.  They share one queue of every block of
 the call, in draw order.  A worker takes the next block and draws its
 integers from the chunk's substream under one lock: ``Generator.integers``
 releases the GIL, but a generator's lock serialises its draws, and each
 block must continue the substream where the previous block left it.
-Outside the lock it does the rest of the block (inverse CDF, signal,
-pyramid, statistic) and writes the block's values into their rows of the
-result.  The calling thread draws and applies nothing; it waits for the
-workers.
+Outside the lock it does the rest of the block (inverse CDF, pyramid,
+statistic) and writes the block's values into their rows of the result.
+The calling thread draws and applies nothing; it waits for the workers.
 
 A worker may draw a block of the next chunk while the current chunk's last
 blocks are transformed, but runs its pyramid only once every block of the
@@ -54,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rng import CHUNK, chunk_bounds, normal_from_ints, normal_ints, substream
-from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
+from .signals import NoiseModel, SampledSignal
 from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, pyramid_batch
 
 # samples per block of a Monte Carlo chunk: 2^17 float64 values are 1 MB
@@ -114,21 +111,22 @@ class FeaturePipe:
         samples = x.samples if isinstance(x, SampledSignal) else np.asarray(x)
         return DetailCoefficients(self.transform_batch(samples[None, :])[0], self.layout)
 
-    # -- chunked Monte Carlo streams -------------------------------------------
+    # -- the chunked Monte Carlo stream ----------------------------------------
 
-    def _stream(
+    def noise_steady(
         self,
         model: NoiseModel,
         trials: int,
         seed: int,
-        path: Sequence[int],
-        add_signal: Callable[[np.ndarray, int, int], None] | None,
-        stat: Callable[[np.ndarray], np.ndarray] | None,
+        path: Sequence[int] = (),
+        stat: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> np.ndarray:
-        """``stat`` of each block's features, drawn and transformed in blocks.
+        """Noise-only trials: ``stat`` of each trial's steady features (default: the features).
 
-        ``add_signal(X, lo, hi)`` adds the signal part of trials lo..hi-1 to
-        their noise rows X in place, or is None for noise-only trials.
+        ``stat`` must be a pure row-wise function that may run on several
+        threads at once.  It sees one block at a time, padded with zero rows
+        to the full block shape, so its values depend on BLOCK_SAMPLES as
+        the features depend on CHUNK, but not on ``trials``.
         """
         stat = stat or (lambda F: F)
         width = self.layout.steady_length
@@ -161,8 +159,6 @@ class FeaturePipe:
                             rng = substream(seed, (*path, c))
                         U = normal_ints(rng, (m, self.length))
                     X = normal_from_ints(U, model.sigma_n)
-                    if add_signal is not None:
-                        add_signal(X, start + i, start + i + m)
                     # the pyramid waits until every block of the chunk before
                     # has its values, so that a failed block stops all later chunks
                     with state:
@@ -205,49 +201,3 @@ class FeaturePipe:
                     stopped = True
                     state.notify_all()
         return out
-
-    def noise_steady(
-        self,
-        model: NoiseModel,
-        trials: int,
-        seed: int,
-        path: Sequence[int] = (),
-        stat: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Noise-only trials: ``stat`` of each trial's steady features (default: the features).
-
-        ``stat`` must be a pure row-wise function that may run on several
-        threads at once.  It sees one block at a time, padded with zero rows
-        to the full block shape, so its values depend on BLOCK_SAMPLES as
-        the features depend on CHUNK, but not on ``trials``.
-        """
-        return self._stream(model, trials, seed, path, None, stat)
-
-    def obs_steady(
-        self,
-        pulse: SampledSignal,
-        snr_db: np.ndarray,
-        model: NoiseModel,
-        trials: int,
-        seed: int,
-        path: Sequence[int] = (),
-        stat: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Pulse-plus-noise trials: ``stat`` of each trial's steady features.
-
-        ``snr_db`` is a length-``trials`` vector giving each trial its own
-        SNR.  ``stat`` is applied as in ``noise_steady``.
-        """
-        if pulse.hypothesis is not Hypothesis.TEMPLATE:
-            raise ValueError("expected a pulse template")
-        if pulse.length != self.length:
-            raise ValueError(f"pulse length {pulse.length} does not match the pipe's "
-                             f"signal length {self.length}")
-        amps = amplitude(snr_db, model)
-        if amps.shape != (trials,):
-            raise ValueError("snr_db must hold one SNR per trial")
-
-        def add_pulse(X: np.ndarray, lo: int, hi: int) -> None:
-            X += amps[lo:hi, None] * pulse.samples
-
-        return self._stream(model, trials, seed, path, add_pulse, stat)

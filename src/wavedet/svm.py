@@ -37,11 +37,12 @@ from .detector import (
     _require_layout,
     estimate_pd,
     realized_pfa_mc,
+    snr_grid,
     threshold_for_pfa_mc,
 )
 from .pipeline import FeaturePipe
 from .rng import derive_seed, substream, uniform
-from .signals import Hypothesis, NoiseModel, SampledSignal
+from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
 from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, _detector_id
 
 __all__ = [
@@ -179,7 +180,11 @@ def build_training_set(
     seed: int,
 ) -> TrainingSet:
     """Steady-range d_B patterns: n_pos observations with SNR uniform over
-    ``snr_range`` and n_neg pure-noise realisations, positives first."""
+    ``snr_range`` and n_neg pure-noise realisations, positives first.
+
+    The pyramid is linear, so a positive is a noise pattern on its own path
+    plus A_i mu, the pulse's steady details scaled by its amplitude, as in
+    ``estimate_pd``."""
     if n_pos < 1 or n_neg < 1:
         raise ValueError("both classes need at least one pattern")
     lo, hi = _snr_range(snr_range)
@@ -187,7 +192,9 @@ def build_training_set(
         raise ValueError("build_training_set requires a pulse template")
     pipe = FeaturePipe.for_scales(pulse.length, filters, scales)
     snrs = uniform(substream(seed, (_PATH_SNR,)), n_pos, lo, hi)
-    pos = pipe.obs_steady(pulse, snrs, model, n_pos, seed, path=(_PATH_POS,))
+    mu = pipe.details_of(pulse).steady_values()
+    pos = pipe.noise_steady(model, n_pos, seed, (_PATH_POS,))
+    pos += amplitude(snrs, model)[:, None] * mu
     neg = pipe.noise_steady(model, n_neg, seed, path=(_PATH_NEG,))
     X = np.concatenate([pos, neg], axis=0)
     y = np.concatenate([np.ones(n_pos, dtype=np.int8), -np.ones(n_neg, dtype=np.int8)])
@@ -365,8 +372,7 @@ def tune_c_for_pfa(
     if not grid:
         raise ValueError("c_grid must be non-empty")
     _require_layout("pipe", pipe.layout, ts.layout)
-    lo, hi = ts.snr_range
-    val_grid = np.arange(lo, hi + 1e-9, 1.0)
+    val_grid = snr_grid(*ts.snr_range, 1.0)
     gram = ts.X @ ts.X.T  # shared by every grid point, freed on return
     models = [train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, gram=gram)
               for cp, cm in grid]
@@ -378,7 +384,7 @@ def tune_c_for_pfa(
         if not target_pfa / _PFA_SLACK <= pfa_hat <= target_pfa * _PFA_SLACK:
             continue
         pds = estimate_pd(det, pulse, val_grid, noise, _VAL_TRIALS, derive_seed(seed, 2), pipe)
-        mean_pd = sum(pd for pd, _ in pds) / val_grid.shape[0]
+        mean_pd = sum(pd for pd, _ in pds) / len(val_grid)
         if best is None or mean_pd > best[0]:
             best = (mean_pd, svm_model, det)
     if best is None:

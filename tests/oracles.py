@@ -113,6 +113,27 @@ def reference_smo(X, y, c_plus, c_minus, kkt_tolerance, max_passes):
     return beta, 0.5 * (m + m_low), converged, n_passes, tuple(history)
 
 
+def stage_matrix(f, n):
+    """Dense operator for circular convolution + dyadic downsampling."""
+    H = np.zeros((n // 2, n))
+    for k in range(n // 2):
+        for j, c in enumerate(f):
+            H[k, (2 * k - j) % n] += c
+    return H
+
+
+def dense_steady(X, filters, layout):
+    """Steady-range details of each row of X in ``layout``, by dense stage matrices."""
+    cur = np.asarray(X, dtype=np.float64)
+    details = []
+    for _ in range(max(layout.scales)):
+        n = cur.shape[1]
+        details.append(cur @ stage_matrix(filters.g, n).T)
+        cur = cur @ stage_matrix(filters.h, n).T
+    full = np.concatenate([details[s - 1] for s in layout.scales], axis=1)
+    return full[:, layout.steady_mask()]
+
+
 def _reference_filter_down(X, f):
     """One pyramid stage as it stood before its window view dropped ``as_strided``.
 

@@ -35,7 +35,7 @@ from wavedet import (
     threshold_for_pfa_mc,
     train,
 )
-from oracles import kkt_violation, numerical_optimum_a
+from oracles import kkt_violation, numerical_optimum_a, stage_matrix
 from wavedet.rng import substream
 from wavedet.svm import TrainingSet
 from wavedet.wavelet import ScaleLayout
@@ -145,14 +145,6 @@ def curve_se(curve, floor_from=None):
 
 
 # -- criterion 1: orthonormal transform ------------------------------------
-
-
-def stage_matrix(f, n):
-    H = np.zeros((n // 2, n))
-    for k in range(n // 2):
-        for j, c in enumerate(f):
-            H[k, (2 * k - j) % n] += c
-    return H
 
 
 def test_c1_orthonormal_transform_suite():

@@ -19,7 +19,7 @@ from wavedet import (
     parse_config_text,
     run_experiment,
 )
-from wavedet.io import read_detector
+from wavedet.io import read_detector, write_detector
 
 MINI = dict(
     length=256,
@@ -278,6 +278,29 @@ def _drop_last_row(name):
     return damage
 
 
+def _rescale_optimum(name, a=1.0, v_threshold=1.0):
+    """Damage that rewrites an optimum detector with scaled weights or threshold."""
+    def damage(out):
+        det, family, length, extras = read_detector(str(out / name))
+        det = dataclasses.replace(det, a=det.a * a, v_threshold=det.v_threshold * v_threshold)
+        write_detector(str(out / name), det, family, length, extras)
+    return damage
+
+
+def _rescale_theory_pd(name, factor):
+    """Damage that scales every Pd of a theory curve, in the writer's format."""
+    def damage(out):
+        path = out / name
+        lines = path.read_text().splitlines()
+        start = lines.index("snr_db,pd,stderr,pfa,trials,seed") + 1
+        for k in range(start, len(lines)):
+            cells = lines[k].split(",")
+            cells[1] = repr(float(cells[1]) * factor)
+            lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
 def _append_to(name, text):
     """Damage that appends ``text`` to a file."""
     def damage(out):
@@ -336,6 +359,11 @@ def _append_to(name, text):
     (_replace_in("svm_d3.det", "kind=linear", "kind=max-coeff"), ("svm_d3.det", "linear")),
     (_drop_last_row("svm_d3.csv"), ("svm_d3.csv", "4 rows")),
     (_append_to("config.txt", "# note\n"), ("config.txt", "# note")),
+    # well-formed closed-form results that the config does not give
+    (_rescale_optimum("optimum_d3_4.det", v_threshold=0.9),
+     ("optimum_d3_4.det", "v_threshold", "re-derivation")),
+    (_rescale_optimum("optimum_d4.det", a=1.1), ("optimum_d4.det", "weights", "re-derivation")),
+    (_rescale_theory_pd("theory_d3.csv", 0.999), ("theory_d3.csv", "pd", "re-derivation")),
 ], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped",
         "baseline-trials-infinite", "baseline-trials-changed", "svm-seed-changed",
         "theory-trials-negative", "svm-kind-changed", "svm-sigma-changed",
@@ -345,7 +373,8 @@ def _append_to(name, text):
         "optimum-detector-id-changed", "svm-cal-trials-changed", "svm-calibration-analytic",
         "svm-rng-changed", "svm-fit-note-added", "svm-kkt-tolerance-changed",
         "svm-fit-field-missing", "svm-passes-missing", "svm-kind-max-coeff", "svm-last-row-deleted",
-        "config-comment-added"])
+        "config-comment-added", "optimum-threshold-scaled", "optimum-weights-scaled",
+        "theory-pd-scaled"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run
     bad = tmp_path / "damaged"

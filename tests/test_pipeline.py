@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavedet import (FeaturePipe, NoiseModel, ScaleLayout, amplitude, make_chirp, parse_family,
-                     pipeline)
+from wavedet import (FeaturePipe, NoiseModel, ScaleLayout, estimate_pd, make_chirp, optimum_a,
+                     parse_family, pipeline)
 from wavedet.pipeline import BLOCK_SAMPLES
 from wavedet.rng import CHUNK, chunk_bounds, normal, substream
 
@@ -72,25 +72,19 @@ def test_noise_stream_is_chunk_invariant(pipe34, noise):
     np.testing.assert_array_equal(v, full[:, 0])
 
 
-def test_block_and_chunk_seams_keep_every_trial(pipe34, pulse256):
+def test_block_and_chunk_seams_keep_every_trial(pipe34):
     # at length 256 a chunk is transformed in 8 blocks of 512 rows; the
-    # streams must equal whole-chunk draws and transforms, trial for trial
+    # stream must equal whole-chunk draws and transforms, trial for trial
     assert CHUNK // (BLOCK_SAMPLES // 256) == 8
     model = NoiseModel(sigma_n=1.7)
     trials = CHUNK + 300
-    snr = np.linspace(-12.0, 2.0, trials)
     mask = pipe34.layout.steady_mask()
-    noise_ref, obs_ref = [], []
+    noise_ref = []
     for c, start, stop in chunk_bounds(trials):
         X = normal(substream(21, (5, c)), (stop - start, 256), model.sigma_n)
         noise_ref.append(pipe34.transform_batch(X)[:, mask])
-        X = normal(substream(22, (c,)), (stop - start, 256), model.sigma_n)
-        X += amplitude(snr[start:stop], model)[:, None] * pulse256.samples
-        obs_ref.append(pipe34.transform_batch(X)[:, mask])
     np.testing.assert_array_equal(
         pipe34.noise_steady(model, trials, seed=21, path=(5,)), np.concatenate(noise_ref))
-    np.testing.assert_array_equal(
-        pipe34.obs_steady(pulse256, snr, model, trials, seed=22), np.concatenate(obs_ref))
     # detectors project each chunk with F @ a; the chunks must also share
     # the reference's memory layout, or BLAS sums the products in another order
     a = np.random.default_rng(3).standard_normal(pipe34.layout.steady_length)
@@ -115,15 +109,14 @@ def test_statistic_sees_whole_chunks(pipe34):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_streams_do_not_depend_on_the_worker_count(pipe34, pulse256, monkeypatch, workers):
+def test_streams_do_not_depend_on_the_worker_count(pipe34, monkeypatch, workers):
     model = NoiseModel(sigma_n=1.3)
     trials = CHUNK + 700
     a = np.random.default_rng(4).standard_normal(pipe34.layout.steady_length)
 
     def streams():
         return (pipe34.noise_steady(model, trials, seed=7, stat=lambda F: F @ a),
-                pipe34.obs_steady(pulse256, np.linspace(-9.0, 0.0, trials), model, trials,
-                                  seed=8))
+                pipe34.noise_steady(model, trials, seed=8))
 
     want = streams()
     monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
@@ -138,29 +131,24 @@ def _stream_cases(draw):
     length = draw(st.sampled_from([64, 256]))
     rows = BLOCK_SAMPLES // length
     trials = draw(st.integers(1, 2 * CHUNK // rows + 1)) * rows + draw(st.integers(-1, 1))
-    return length, trials, draw(st.sampled_from(["dot", "max"])), draw(st.booleans())
+    return length, trials, draw(st.sampled_from(["dot", "max", "features"]))
 
 
 @settings(max_examples=10, deadline=None)
 @given(case=_stream_cases())
 def test_streams_are_byte_identical_for_one_to_four_workers(db5, case):
-    length, trials, kind, per_trial = case
+    length, trials, kind = case
     pipe = FeaturePipe.for_scales(length, db5, (1, 2) if length == 64 else (3, 4))
     a = np.random.default_rng(length).standard_normal(pipe.layout.steady_length)
-    stat = (lambda F: F @ a) if kind == "dot" else (lambda F: np.abs(F).max(axis=1))
+    stat = {"dot": lambda F: F @ a, "max": lambda F: np.abs(F).max(axis=1),
+            "features": None}[kind]
     model = NoiseModel(sigma_n=0.8)
-    snr = np.linspace(-8.0, 1.0, trials) if per_trial else np.full(trials, -3.0)
-
-    def streams():
-        return (pipe.noise_steady(model, trials, seed=11, path=(2,), stat=stat).tobytes(),
-                pipe.obs_steady(make_chirp(length), snr, model, trials, seed=12,
-                                stat=stat).tobytes())
 
     got = []
     for workers in range(1, 5):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "_worker_count", lambda: workers)
-            got.append(streams())
+            got.append(pipe.noise_steady(model, trials, seed=11, path=(2,), stat=stat).tobytes())
     assert all(g == got[0] for g in got[1:])
 
 
@@ -249,18 +237,16 @@ def test_a_statistic_does_not_depend_on_the_trial_count(db5, length, scales):
     # by the chunk's row count, and fails here for the short calls
     pipe = FeaturePipe.for_scales(length, db5, scales)
     a = np.random.default_rng(length).standard_normal(pipe.layout.steady_length)
-    model, pulse = NoiseModel(sigma_n=1.1), make_chirp(length)
+    model = NoiseModel(sigma_n=1.1)
     rows, longest = BLOCK_SAMPLES // length, 2 * CHUNK
-    streams = {
-        "noise": lambda n: pipe.noise_steady(model, n, seed=31, stat=lambda F: F @ a),
-        "obs": lambda n: pipe.obs_steady(pulse, np.full(n, -4.0), model, n, seed=32,
-                                         stat=lambda F: F @ a),
-    }
-    for name, stream in streams.items():
-        want = stream(longest)
-        for n in (1, 2, 7, rows - 1, rows + 1, 1000, CHUNK - 1, CHUNK + 1, CHUNK + rows + 1,
-                  longest - 1):
-            np.testing.assert_array_equal(stream(n), want[:n], err_msg=f"{name}, {n} trials")
+
+    def stream(n):
+        return pipe.noise_steady(model, n, seed=31, stat=lambda F: F @ a)
+
+    want = stream(longest)
+    for n in (1, 2, 7, rows - 1, rows + 1, 1000, CHUNK - 1, CHUNK + 1, CHUNK + rows + 1,
+              longest - 1):
+        np.testing.assert_array_equal(stream(n), want[:n], err_msg=f"{n} trials")
 
 
 def test_a_failing_statistic_stops_the_stream(pipe34, noise, monkeypatch):
@@ -289,15 +275,14 @@ def test_a_failing_statistic_stops_the_stream(pipe34, noise, monkeypatch):
 
 
 def test_two_threads_streaming_at_once_get_the_values_of_sequential_calls(
-        pipe34, pulse256, noise, monkeypatch):
+        pipe34, noise, monkeypatch):
     # more block workers than cores and a short switch interval, so that the
     # two streams' workers interleave often
     monkeypatch.setattr(pipeline, "_worker_count", lambda: 3)
     a = np.random.default_rng(5).standard_normal(pipe34.layout.steady_length)
     trials = CHUNK + 700
     calls = (lambda: pipe34.noise_steady(noise, trials, seed=13, stat=lambda F: F @ a),
-             lambda: pipe34.obs_steady(pulse256, np.linspace(-9.0, 0.0, trials), noise, trials,
-                                       seed=14))
+             lambda: pipe34.noise_steady(noise, trials, seed=14))
     want = [call() for call in calls]
     got = [None, None]
 
@@ -329,28 +314,16 @@ def test_no_block_worker_outlives_its_stream(pipe34, noise):
     assert not _block_workers()
 
 
-def test_obs_stream_takes_one_snr_per_trial(pipe34, pulse256, noise):
-    for snr in (-5.0, np.zeros(7), np.zeros((8, 1))):
-        with pytest.raises(ValueError, match="one SNR per trial"):
-            pipe34.obs_steady(pulse256, snr, noise, 8, seed=4)
-
-
-def test_obs_equals_noise_plus_scaled_template(pipe34, pulse256, noise):
-    # the transform is linear, so features superpose exactly up to rounding
-    obs = pipe34.obs_steady(pulse256, np.zeros(16), noise, 16, seed=11)
-    noi = pipe34.noise_steady(noise, 16, seed=11)
-    tmpl = pipe34.details_of(pulse256).steady_values()
-    np.testing.assert_allclose(obs, noi + tmpl, rtol=0, atol=1e-12)
-
-
 def test_pipe_rejects_wrong_length_input(pipe34):
     with pytest.raises(ValueError):
         pipe34.transform_batch(np.zeros((2, 128)))
 
 
-def test_pipe_rejects_wrong_template_length(pipe34, noise):
+def test_pipe_rejects_wrong_template_length(pipe34, pulse256, noise):
     short = make_chirp(128)
     with pytest.raises(ValueError):
         pipe34.details_of(short)
-    with pytest.raises(ValueError, match="pulse length 128 .* signal length 256"):
-        pipe34.obs_steady(short, np.zeros(8), noise, 8, seed=1)
+    # a Pd estimate adds the pulse's details to the pipe's noise features
+    det = optimum_a(pipe34.details_of(pulse256), 0.01, noise)
+    with pytest.raises(ValueError, match=r"\(batch, 256\) array, got \(1, 128\)"):
+        estimate_pd(det, short, [-5.0], noise, 100, 1, pipe34)

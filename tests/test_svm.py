@@ -12,6 +12,7 @@ import pytest
 from wavedet import (
     FeaturePipe,
     NoiseModel,
+    amplitude,
     build_training_set,
     calibrate_bias,
     decision,
@@ -20,8 +21,9 @@ from wavedet import (
     train,
     tune_c_for_pfa,
 )
-from oracles import kkt_violation, reference_smo
+from oracles import dense_steady, kkt_violation, reference_smo
 from wavedet import svm as svm_module
+from wavedet.rng import normal, substream, uniform
 from wavedet.svm import TrainingSet, SvmModel
 from wavedet.wavelet import ScaleLayout
 
@@ -170,6 +172,30 @@ def test_training_set_structure(pulse256, db5, noise):
         pulse256, (3, 4), db5, noise, 50, 70, (-12.0, -2.0), seed=123
     )
     np.testing.assert_array_equal(ts.X, ts2.X)
+
+
+def test_positives_are_noise_patterns_plus_scaled_pulse_details(pulse256, pipe34, db5, noise):
+    # the pyramid is linear, so a positive is the noise pattern on the
+    # positives' path plus A_i mu, as a Pd curve scores F + A mu
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 300, 40, (-12.0, 0.0), seed=9)
+    snrs = uniform(substream(9, (svm_module._PATH_SNR,)), 300, -12.0, 0.0)
+    mu = pipe34.details_of(pulse256).steady_values()
+    want = pipe34.noise_steady(noise, 300, 9, (svm_module._PATH_POS,))
+    want += amplitude(snrs, noise)[:, None] * mu
+    np.testing.assert_array_equal(ts.X[:300], want)
+    np.testing.assert_array_equal(ts.X[300:],
+                                  pipe34.noise_steady(noise, 40, 9, (svm_module._PATH_NEG,)))
+
+
+def test_positives_match_the_dense_oracle_on_time_domain_observations(pulse256, db5):
+    # the same noise samples with each trial's pulse added before the
+    # transform, run through dense stage matrices instead of the pyramid
+    model = NoiseModel(sigma_n=1.3)
+    ts = build_training_set(pulse256, (3, 4), db5, model, 200, 20, (-15.0, 5.0), seed=4)
+    snrs = uniform(substream(4, (svm_module._PATH_SNR,)), 200, -15.0, 5.0)
+    X = normal(substream(4, (svm_module._PATH_POS, 0)), (200, 256), model.sigma_n)
+    X += amplitude(snrs, model)[:, None] * pulse256.samples
+    np.testing.assert_allclose(ts.X[:200], dense_steady(X, db5, ts.layout), rtol=0, atol=1e-12)
 
 
 def test_decision_matches_detector_statistic(pulse256, pipe34, db5, noise):

@@ -1,6 +1,6 @@
 """Filter bank and pyramid transform tests.
 
-The key oracle here is a dense-matrix implementation of one circularly
+The key oracle here is ``oracles.stage_matrix``, a dense-matrix form of one circularly
 extended filter-and-downsample stage, built independently of the batched
 sliding-window code path.  Orthogonality and energy preservation are then
 checked as properties across families and lengths.
@@ -27,18 +27,9 @@ from wavedet import (
     parse_family,
     pyramid_batch,
 )
-from oracles import reference_pyramid
+from oracles import reference_pyramid, stage_matrix
 from wavedet.rng import CHUNK
 from wavedet.wavelet import WaveletFilterPair, tally_madds
-
-
-def stage_matrix(f: np.ndarray, n: int) -> np.ndarray:
-    """Dense operator for circular convolution + dyadic downsampling."""
-    H = np.zeros((n // 2, n))
-    for k in range(n // 2):
-        for j, c in enumerate(f):
-            H[k, (2 * k - j) % n] += c
-    return H
 
 
 # -- filter tables -------------------------------------------------------
