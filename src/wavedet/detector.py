@@ -340,6 +340,21 @@ def _rate(hits: int, trials: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / trials)
 
 
+def _template_mu(pulse: SampledSignal, pipe: FeaturePipe) -> np.ndarray:
+    """mu, the steady details of a pulse template on ``pipe``.
+
+    The Pd curves, the training positives and the tuner's score all use mu,
+    and this is where their pulse is checked: it must be a template of the
+    pipe's signal length."""
+    if pulse.hypothesis is not Hypothesis.TEMPLATE:
+        raise ValueError("expected a pulse template")
+    if pulse.length != pipe.length:
+        raise ValueError(
+            f"pulse length {pulse.length} does not match the pipe's signal length {pipe.length}"
+        )
+    return pipe.details_of(pulse).steady_values()
+
+
 def estimate_pd(
     det: LinearDetector | MaxCoeffDetector,
     pulse: SampledSignal,
@@ -358,9 +373,7 @@ def estimate_pd(
     _check_snr_grid(grid)
     _check_trials(trials)
     _require_layout("pipe", pipe.layout, det.layout)
-    if pulse.hypothesis is not Hypothesis.TEMPLATE:
-        raise ValueError("expected a pulse template")
-    shifts = amplitude(np.array(grid), model)[:, None] * pipe.details_of(pulse).steady_values()
+    shifts = amplitude(np.array(grid), model)[:, None] * _template_mu(pulse, pipe)
     fn = _steady_stat_fn(det)
     V = pipe.noise_steady(model, trials, seed, _CURVE_PATH,
                           stat=lambda F: np.column_stack([fn(F + s) for s in shifts]))

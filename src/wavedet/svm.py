@@ -20,7 +20,15 @@ price false positives above misses.
 
 The trained bias is never deployed directly: deployment replaces it with a
 Monte Carlo threshold hitting the requested false-alarm probability, since
-the hinge loss alone does not pin the operating point.
+the hinge loss alone does not pin the operating point.  So only w's
+direction matters, and the tuner chooses C by it alone, the Neyman-Pearson
+criterion for tuning an SVM (Davenport, Baraniuk & Scott, IEEE TPAMI
+2010).  Under white noise of spread sigma_n the statistic <w, x> is
+Gaussian with spread sigma_n ||w|| under both hypotheses, so with its
+threshold set for Pfa alpha its Pd at amplitude A is
+Q(Qinv(alpha) - A <w, mu> / (sigma_n ||w||)) (Kay 1998, ch. 4).  The
+deflection per unit norm <w, mu> / ||w|| thus orders the fits exactly, at
+every SNR and every alpha, without a noise draw.
 """
 
 from __future__ import annotations
@@ -35,14 +43,12 @@ from .detector import (
     Calibration,
     LinearDetector,
     _require_layout,
-    estimate_pd,
-    realized_pfa_mc,
-    snr_grid,
+    _template_mu,
     threshold_for_pfa_mc,
 )
 from .pipeline import FeaturePipe
 from .rng import derive_seed, substream, uniform
-from .signals import Hypothesis, NoiseModel, SampledSignal, amplitude
+from .signals import NoiseModel, SampledSignal, amplitude
 from .wavelet import DetailCoefficients, ScaleLayout, WaveletFilterPair, _detector_id
 
 __all__ = [
@@ -60,19 +66,6 @@ _PATH_SNR, _PATH_POS, _PATH_NEG = 0, 1, 2
 
 _BOUND_SNAP = 1e-12  # relative snap of beta onto 0 and its box bound
 
-# tune_c_for_pfa: admissible realized Pfa lies within this factor of the
-# target, and validation Pd comes from this many trials, shared by every SNR
-_PFA_SLACK = 2.0
-_VAL_TRIALS = 500
-
-
-def _snr_range(snr_range: tuple[float, float]) -> tuple[float, float]:
-    """``snr_range`` as floats, rejected unless finite with lo <= hi."""
-    lo, hi = float(snr_range[0]), float(snr_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"snr_range must be finite with lo <= hi, got {snr_range}")
-    return lo, hi
-
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -85,7 +78,6 @@ class TrainingSet:
     X: np.ndarray              # (n, dim) patterns, one per row
     y: np.ndarray              # (n,) labels in {+1, -1}
     layout: ScaleLayout
-    snr_range: tuple[float, float]
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=np.float64).copy()
@@ -105,7 +97,6 @@ class TrainingSet:
             arr.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "snr_range", _snr_range(self.snr_range))
 
     @property
     def n_patterns(self) -> int:
@@ -187,23 +178,18 @@ def build_training_set(
     ``estimate_pd``."""
     if n_pos < 1 or n_neg < 1:
         raise ValueError("both classes need at least one pattern")
-    lo, hi = _snr_range(snr_range)
-    if pulse.hypothesis is not Hypothesis.TEMPLATE:
-        raise ValueError("build_training_set requires a pulse template")
+    lo, hi = float(snr_range[0]), float(snr_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"snr_range must be finite with lo <= hi, got {snr_range}")
     pipe = FeaturePipe.for_scales(pulse.length, filters, scales)
+    mu = _template_mu(pulse, pipe)
     snrs = uniform(substream(seed, (_PATH_SNR,)), n_pos, lo, hi)
-    mu = pipe.details_of(pulse).steady_values()
     pos = pipe.noise_steady(model, n_pos, seed, (_PATH_POS,))
     pos += amplitude(snrs, model)[:, None] * mu
     neg = pipe.noise_steady(model, n_neg, seed, path=(_PATH_NEG,))
     X = np.concatenate([pos, neg], axis=0)
     y = np.concatenate([np.ones(n_pos, dtype=np.int8), -np.ones(n_neg, dtype=np.int8)])
-    return TrainingSet(
-        X=X,
-        y=y,
-        layout=pipe.layout,
-        snr_range=(lo, hi),
-    )
+    return TrainingSet(X=X, y=y, layout=pipe.layout)
 
 
 def _check_smo_args(c_plus: float, c_minus: float, kkt_tolerance: float, max_passes: int) -> None:
@@ -346,50 +332,49 @@ def calibrate_bias(
     )
 
 
+def _deflection(model: SvmModel, mu: np.ndarray) -> float:
+    """<w, mu> / ||w||, the tuner's score; a fit with w = 0 is rejected."""
+    norm = float(np.linalg.norm(model.w))
+    if norm == 0.0:
+        raise ValueError(f"the fit at (c_plus, c_minus) = ({model.c_plus}, {model.c_minus}) "
+                         "has w = 0 and detects nothing")
+    return float(model.w @ mu) / norm
+
+
 def tune_c_for_pfa(
     ts: TrainingSet,
     noise: NoiseModel,
     pipe: FeaturePipe,
     target_pfa: float,
     c_grid: Sequence[tuple[float, float]],
-    validation_noise_trials: int,
+    cal_trials: int,
     seed: int,
     pulse: SampledSignal,
     kkt_tolerance: float = 1e-3,
     max_passes: int = 10_000,
 ) -> tuple[SvmModel, LinearDetector]:
-    """Train and calibrate every grid point, keep the best admissible model.
+    """Train every grid point; calibrate and return the one of largest deflection.
 
-    Admissible means the realized false-alarm rate, on one noise set shared
-    by every point, lies within a factor of 2 of the target; among those
-    the highest mean validation Pd over the training SNR grid wins (first
-    on ties), every point validated on the same noise.  ``noise`` and
-    ``pipe`` must be the ones that drew ``ts``; a pipe on another layout is
-    rejected before any training.  Fully deterministic given (ts, pipe,
-    noise, pulse, seed).
+    Grid point g scores c_g = <w_g, mu> / ||w_g||, mu being the pulse's
+    steady details.  With its threshold set for Pfa alpha, fit g's Pd at
+    amplitude A is exactly Q(Qinv(alpha) - A c_g / sigma_n), so c_g ranks
+    the grid points at every SNR and every alpha, with no noise draw.  The
+    first maximum wins, so ties go to the earlier grid point, and only it
+    is calibrated, by ``calibrate_bias`` on ``cal_trials`` trials at
+    ``derive_seed(seed, g, 0)``.  A fit whose w is zero detects nothing and
+    is rejected.  ``noise`` and ``pipe`` must be the ones that drew ``ts``;
+    a pipe on another layout, or a pulse that is not a template of the
+    pipe's signal length, is rejected before any training.  Fully
+    deterministic given (ts, pipe, noise, pulse, seed).
     """
     grid = [(float(cp), float(cm)) for cp, cm in c_grid]
     if not grid:
         raise ValueError("c_grid must be non-empty")
     _require_layout("pipe", pipe.layout, ts.layout)
-    val_grid = snr_grid(*ts.snr_range, 1.0)
+    mu = _template_mu(pulse, pipe)
     gram = ts.X @ ts.X.T  # shared by every grid point, freed on return
     models = [train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, gram=gram)
               for cp, cm in grid]
-    dets = [calibrate_bias(m, noise, pipe, target_pfa, validation_noise_trials,
-                           derive_seed(seed, gi, 0)) for gi, m in enumerate(models)]
-    pfas = realized_pfa_mc(dets, noise, validation_noise_trials, derive_seed(seed, 1), pipe)
-    best: tuple[float, SvmModel, LinearDetector] | None = None
-    for svm_model, det, (pfa_hat, _) in zip(models, dets, pfas):
-        if not target_pfa / _PFA_SLACK <= pfa_hat <= target_pfa * _PFA_SLACK:
-            continue
-        pds = estimate_pd(det, pulse, val_grid, noise, _VAL_TRIALS, derive_seed(seed, 2), pipe)
-        mean_pd = sum(pd for pd, _ in pds) / len(val_grid)
-        if best is None or mean_pd > best[0]:
-            best = (mean_pd, svm_model, det)
-    if best is None:
-        raise RuntimeError(
-            f"no (c_plus, c_minus) grid point achieved a realized Pfa within "
-            f"{_PFA_SLACK}x of {target_pfa}"
-        )
-    return best[1], best[2]
+    gi = int(np.argmax([_deflection(m, mu) for m in models]))  # the first maximum
+    det = calibrate_bias(models[gi], noise, pipe, target_pfa, cal_trials, derive_seed(seed, gi, 0))
+    return models[gi], det

@@ -433,9 +433,7 @@ def test_c9_smo_against_qp_oracle():
         c_plus = float(g.choice([0.3, 1.0, 3.0]))
         c_minus = float(g.choice([0.3, 1.0, 3.0]))
 
-        ts = TrainingSet(
-            X=X, y=y, layout=layout, snr_range=(-15.0, 0.0),
-        )
+        ts = TrainingSet(X=X, y=y, layout=layout)
         model = train(ts, c_plus, c_minus, kkt_tolerance=tol, max_passes=100_000)
         assert model.converged, f"case {case}: SMO hit the pass limit"
 

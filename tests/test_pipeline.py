@@ -325,5 +325,6 @@ def test_pipe_rejects_wrong_template_length(pipe34, pulse256, noise):
         pipe34.details_of(short)
     # a Pd estimate adds the pulse's details to the pipe's noise features
     det = optimum_a(pipe34.details_of(pulse256), 0.01, noise)
-    with pytest.raises(ValueError, match=r"\(batch, 256\) array, got \(1, 128\)"):
+    with pytest.raises(ValueError, match="pulse length 128 does not match the pipe's signal "
+                                         "length 256"):
         estimate_pd(det, short, [-5.0], noise, 100, 1, pipe34)

@@ -6,6 +6,8 @@ algebra. Larger random problems are cross-checked against a dense
 projected-gradient oracle in the acceptance suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,17 +15,20 @@ from wavedet import (
     FeaturePipe,
     NoiseModel,
     amplitude,
+    analytic_stats,
     build_training_set,
     calibrate_bias,
     decision,
+    make_chirp,
     realized_pfa_mc,
     statistic,
+    threshold_for_pfa_analytic,
     train,
     tune_c_for_pfa,
 )
 from oracles import dense_steady, kkt_violation, reference_smo
 from wavedet import svm as svm_module
-from wavedet.rng import normal, substream, uniform
+from wavedet.rng import derive_seed, normal, substream, uniform
 from wavedet.svm import TrainingSet, SvmModel
 from wavedet.wavelet import ScaleLayout
 
@@ -33,7 +38,6 @@ def tiny_set(X, y, layout):
         X=np.asarray(X, dtype=float),
         y=np.asarray(y, dtype=float),
         layout=layout,
-        snr_range=(-15.0, 0.0),
     )
 
 
@@ -166,7 +170,6 @@ def test_training_set_structure(pulse256, db5, noise):
     assert ts.X.shape == (120, 28)
     np.testing.assert_array_equal(ts.y[:50], 1.0)
     np.testing.assert_array_equal(ts.y[50:], -1.0)
-    assert ts.snr_range == (-12.0, -2.0)
     # reproducible
     ts2 = build_training_set(
         pulse256, (3, 4), db5, noise, 50, 70, (-12.0, -2.0), seed=123
@@ -223,7 +226,7 @@ def test_calibrated_bias_hits_target_pfa(pulse256, pipe34, db5, noise):
     assert abs(pfa_hat - 0.02) < 5 * se
 
 
-def test_tune_c_picks_an_admissible_point(pulse256, pipe34, db5, noise):
+def test_tune_c_returns_a_grid_point_calibrated_at_the_target_pfa(pulse256, pipe34, db5, noise):
     ts = build_training_set(
         pulse256, (3, 4), db5, noise, 100, 100, (-12.0, 0.0), seed=6
     )
@@ -296,7 +299,10 @@ def test_build_training_set_rejects_a_reversed_snr_range_before_drawing(
 
 
 @pytest.mark.parametrize("bad", ["nan-pattern", "inf-pattern", "reversed-snr", "nan-snr"])
-def test_training_set_rejects_non_finite_patterns_and_a_bad_snr_range(pipe34, bad):
+def test_training_set_rejects_non_finite_patterns_and_a_bad_snr_range(
+    pipe34, pulse256, db5, noise, bad
+):
+    # a TrainingSet checks its patterns; only its builder takes an SNR range
     X = np.ones((2, pipe34.layout.steady_length))
     snr_range = (-6.0, 0.0)
     if bad == "nan-pattern":
@@ -308,7 +314,10 @@ def test_training_set_rejects_non_finite_patterns_and_a_bad_snr_range(pipe34, ba
     else:
         snr_range = (np.nan, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        TrainingSet(X=X, y=[1, -1], layout=pipe34.layout, snr_range=snr_range)
+        if bad.endswith("pattern"):
+            TrainingSet(X=X, y=[1, -1], layout=pipe34.layout)
+        else:
+            build_training_set(pulse256, (3, 4), db5, noise, 20, 20, snr_range, seed=3)
 
 
 def _reference_case(name, pipe34, pulse256, db5, noise):
@@ -384,31 +393,99 @@ def test_tune_c_shares_one_gram_matrix_across_grid_points(
     np.testing.assert_array_equal(grams[0], ts.X @ ts.X.T)
 
 
-def test_tune_c_scores_every_grid_point_on_shared_noise(monkeypatch, pulse256, pipe34, db5, noise):
+
+
+# the winner is the middle point: c_g is about 1.63, 2.00 and 1.69 on this set
+_TUNE_GRID = ((0.1, 1.0), (1.0, 1.0), (10.0, 10.0))
+
+
+def _tune_spied(monkeypatch, ts, grid, pipe, noise, pulse, seed=8):
+    """Run the tuner with train and calibrate_bias recorded."""
+    fits, cals = [], []
+    real_train, real_cal = svm_module.train, svm_module.calibrate_bias
+
+    def train_spy(*args, **kwargs):
+        fits.append(real_train(*args, **kwargs))
+        return fits[-1]
+
+    def cal_spy(*args):
+        cals.append(args)
+        return real_cal(*args)
+
+    monkeypatch.setattr(svm_module, "train", train_spy)
+    monkeypatch.setattr(svm_module, "calibrate_bias", cal_spy)
+    model, det = tune_c_for_pfa(ts, noise, pipe, 0.05, grid, 4000, seed, pulse)
+    return model, det, fits, cals
+
+
+def test_tune_c_calibrates_only_the_grid_point_of_largest_deflection(
+    monkeypatch, pulse256, pipe34, db5, noise
+):
     ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
-    pfa_calls, validations = [], []
-    real_pfa, real_pd = svm_module.realized_pfa_mc, svm_module.estimate_pd
+    model, det, fits, cals = _tune_spied(monkeypatch, ts, _TUNE_GRID, pipe34, noise, pulse256)
+    mu = pipe34.details_of(pulse256).steady_values()
+    c = [m.w @ mu / np.linalg.norm(m.w) for m in fits]
+    gi = int(np.argmax(c))
+    assert gi == 1 and len(set(c)) == 3
+    assert len(cals) == 1 and cals[0][0] is fits[gi] and model is fits[gi]
+    assert cals[0][1:] == (noise, pipe34, 0.05, 4000, derive_seed(8, gi, 0))
+    fresh = calibrate_bias(fits[gi], noise, pipe34, 0.05, 4000, derive_seed(8, gi, 0))
+    assert det.a.tobytes() == fresh.a.tobytes()
+    assert (det.v_threshold, det.target_pfa, det.calibration, det.detector_id) == (
+        fresh.v_threshold, fresh.target_pfa, fresh.calibration, fresh.detector_id)
 
-    def pfa_spy(dets, *args):
-        pfa_calls.append(list(dets))
-        return real_pfa(dets, *args)
 
-    def pd_spy(det, pulse, grid, model, trials, seed, pipe):
-        validations.append((det, list(grid), seed))
-        return real_pd(det, pulse, grid, model, trials, seed, pipe)
+def test_deflection_orders_fits_as_their_exact_mean_pd(pulse256, pipe34, db5, noise):
+    # with the closed-form threshold for the target Pfa, a fit's Pd at every
+    # SNR is Q(Qinv(pfa) - A c / sigma_n): the score ranks the fits exactly
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
+    details = pipe34.details_of(pulse256)
+    grid = (*_TUNE_GRID, (0.5, 5.0), (2.0, 20.0))
+    c, mean_pd = [], []
+    for cp, cm in grid:
+        m = train(ts, cp, cm)
+        a = m.layout.embed(m.w)
+        vt = threshold_for_pfa_analytic(a, pipe34.layout, noise, 0.05)
+        pds = [analytic_stats(details, a, snr, noise, vt).pd for snr in np.arange(-12.0, 0.5)]
+        c.append(svm_module._deflection(m, details.steady_values()))
+        mean_pd.append(np.mean(pds))
+    assert len(set(c)) == len(grid)
+    assert np.argsort(c).tolist() == np.argsort(mean_pd).tolist()
 
-    monkeypatch.setattr(svm_module, "realized_pfa_mc", pfa_spy)
-    monkeypatch.setattr(svm_module, "estimate_pd", pd_spy)
-    grid = ((0.5, 5.0), (1.0, 10.0), (2.0, 20.0))
-    _, det = tune_c_for_pfa(ts, noise, pipe34, 0.05, grid, 4000, 8, pulse256)
-    # one realized-Pfa draw scores the calibrated detector of every grid point
-    assert len(pfa_calls) == 1 and len(pfa_calls[0]) == len(grid)
-    assert len({d.calibration.seed for d in pfa_calls[0]}) == len(grid)
-    # each admissible point is validated once, over the whole SNR grid, all
-    # on one seed, and the winner is one of them
-    assert len(validations) >= 2
-    order = [[d is e for e in pfa_calls[0]].index(True) for d, _, _ in validations]
-    assert order == sorted(set(order))
-    assert all(g == list(np.arange(-12.0, 0.5, 1.0)) for _, g, _ in validations)
-    assert len({seed for _, _, seed in validations}) == 1
-    assert any(d is det for d, _, _ in validations)
+
+def test_tune_c_resolves_identical_grid_points_to_the_first(
+    monkeypatch, pulse256, pipe34, db5, noise
+):
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
+    grid = ((0.1, 1.0), (1.0, 1.0), (1.0, 1.0))
+    model, det, fits, cals = _tune_spied(monkeypatch, ts, grid, pipe34, noise, pulse256)
+    assert fits[1].w.tobytes() == fits[2].w.tobytes()
+    assert len(cals) == 1 and model is fits[1]
+    assert det.calibration.seed == derive_seed(8, 1, 0)
+
+
+def test_tune_c_rejects_a_fit_with_zero_weights(monkeypatch, pulse256, pipe34, db5, noise):
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
+    real_train, cals = svm_module.train, []
+
+    def zero_w_at_one_one(ts, c_plus, c_minus, **kwargs):
+        m = real_train(ts, c_plus, c_minus, **kwargs)
+        return replace(m, w=np.zeros_like(m.w)) if (c_plus, c_minus) == (1.0, 1.0) else m
+
+    monkeypatch.setattr(svm_module, "train", zero_w_at_one_one)
+    monkeypatch.setattr(svm_module, "calibrate_bias", lambda *a: cals.append(a))
+    with pytest.raises(ValueError, match=r"\(1\.0, 1\.0\) has w = 0"):
+        tune_c_for_pfa(ts, noise, pipe34, 0.05, _TUNE_GRID, 4000, 8, pulse256)
+    assert cals == []
+
+
+def test_tune_c_rejects_a_pulse_of_another_length_before_training(
+    monkeypatch, pulse256, pipe34, db5, noise
+):
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 20, 20, (-12.0, 0.0), seed=6)
+    fits = []
+    monkeypatch.setattr(svm_module, "train", lambda *a, **k: fits.append(a))
+    with pytest.raises(ValueError, match="pulse length 128 does not match the pipe's signal "
+                                         "length 256"):
+        tune_c_for_pfa(ts, noise, pipe34, 0.01, ((1.0, 10.0),), 20_000, 8, make_chirp(128))
+    assert fits == []
