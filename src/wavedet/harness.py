@@ -5,10 +5,11 @@ detector and its closed-form curve, trains and calibrates an SVM detector
 and sweeps its Monte Carlo curve, and calibrates and sweeps the
 max-absolute-coefficient baseline.  Everything is keyed off one root seed
 through purpose-tagged substreams, so a rerun of the same config file
-produces byte-identical CSVs.  A self-check section re-derives the
-cross-module consistency facts (decision/statistic equivalence, analytic
-vs Monte Carlo thresholds, multi-scale dominance, theory ceiling) and the
-output directory is marked valid only if every check passes.
+produces byte-identical CSVs.  A self-check section, which draws no noise
+of its own, re-derives the cross-module consistency facts (decision/statistic
+equivalence, deployed SVM threshold vs its closed form, multi-scale dominance,
+theory ceiling) and the output directory is marked valid only if every check
+passes.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .detector import (
     LinearDetector,
     _check_mc_quantile_args,
     _check_trials,
+    _rate,
     _sigma_v,
     analytic_stats,
     calibrate_max_coeff,
+    qfunc_inv,
     snr_grid,
     statistic,
     sweep_curve,
-    threshold_for_pfa_mc,
 )
 from .io import (
     _atomic_write,
@@ -46,11 +48,10 @@ from .io import (
 from .optimum import optimum_a
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
-from .signals import NoiseModel, _check_band, make_chirp, make_observation
+from .signals import NoiseModel, SampledSignal, _check_band, make_chirp, make_observation
 from .svm import (SvmModel, _FIT_FIELDS, _check_smo_args, build_training_set, decision,
                   tune_c_for_pfa)
-from .wavelet import (ScaleLayout, _check_scales, _detector_id, _require_pow2, _set_label,
-                      parse_family)
+from .wavelet import _check_scales, _detector_id, _require_pow2, _set_label, parse_family
 
 __all__ = [
     "ExperimentConfig",
@@ -72,8 +73,8 @@ _DEFAULT_C_GRID = tuple(
 # on another CPU may round the pyramid and the norms a few ulps differently
 _REDERIVE_RTOL = 1e-9
 
-# substream purposes hanging off the root seed
-_P_TRAIN, _P_TUNE, _P_SVMCURVE, _P_BASECAL, _P_BASECURVE, _P_VTMC, _P_CHECKOBS = range(1, 8)
+# substream purposes hanging off the root seed (6 is retired, so 7 keeps its streams)
+_P_TRAIN, _P_TUNE, _P_SVMCURVE, _P_BASECAL, _P_BASECURVE, _P_CHECKOBS = 1, 2, 3, 4, 5, 7
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -249,47 +250,45 @@ def _provenance(
     }
 
 
-def _theory_curve(
-    pulse_details, det: LinearDetector, model: NoiseModel, grid, trials: int, seed: int,
-) -> DetectionCurve:
-    points = []
-    for snr in grid:
-        st = analytic_stats(pulse_details, det.a, snr, model, det.v_threshold)
-        points.append((snr, st.pd, 0.0))
-    return DetectionCurve(
-        pfa=det.target_pfa,
-        points=tuple(points),
-        detector_id=_detector_id("theory", det.layout.scales),
-        trials_per_point=trials,
-        seed=seed,
-    )
+def _closed_form(cfg: ExperimentConfig) -> tuple[NoiseModel, SampledSignal, tuple, list]:
+    """What the config fixes before any draw, for run_experiment and experiment_check:
+    the noise model, the pulse template, the SNR grid and, per scale set, its label,
+    scales, pipe, closed-form optimum detector and theory curve."""
+    filters = parse_family(cfg.family)
+    noise = NoiseModel(sigma_n=cfg.sigma_n)
+    pulse = make_chirp(cfg.length, cfg.f_start, cfg.f_end)
+    grid = cfg.snr_grid()
+    sets = []
+    for bi, b in enumerate(cfg.scale_sets):
+        pipe = FeaturePipe.for_scales(cfg.length, filters, b)
+        pulse_details = pipe.details_of(pulse)
+        det = optimum_a(pulse_details, cfg.pfa, noise)
+        points = tuple(
+            (snr, analytic_stats(pulse_details, det.a, snr, noise, det.v_threshold).pd, 0.0)
+            for snr in grid)
+        theory = DetectionCurve(cfg.pfa, points, _detector_id("theory", b),
+                                *_curve_plans(cfg, bi)["theory"])
+        sets.append((_set_label(b), b, pipe, det, theory))
+    return noise, pulse, grid, sets
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     """Execute the full suite and write CSVs + self-check report to out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(cfg)
-    filters = parse_family(cfg.family)
-    noise = NoiseModel(sigma_n=cfg.sigma_n)
-    pulse = make_chirp(cfg.length, cfg.f_start, cfg.f_end)
-    grid = cfg.snr_grid()
-    labels = tuple(_set_label(b) for b in cfg.scale_sets)
+    noise, pulse, grid, sets = _closed_form(cfg)
+    labels = tuple(label for label, *_ in sets)
 
     curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
     svm_dets: dict[str, LinearDetector] = {}
     checks: list[CheckResult] = []
 
-    for bi, (label, b) in enumerate(zip(labels, cfg.scale_sets)):
-        pipe = FeaturePipe.for_scales(cfg.length, filters, b)
-        pulse_details = pipe.details_of(pulse)
+    for bi, (label, b, pipe, det_opt, theory) in enumerate(sets):
         plans = _curve_plans(cfg, bi)
-
-        det_opt = optimum_a(pulse_details, cfg.pfa, noise)
-        curves["theory"][label] = _theory_curve(pulse_details, det_opt, noise, grid,
-                                                *plans["theory"])
+        curves["theory"][label] = theory
 
         ts = build_training_set(
-            pulse, b, filters, noise, cfg.n_pos, cfg.n_neg,
+            pulse, b, pipe.filters, noise, cfg.n_pos, cfg.n_neg,
             (cfg.snr_min, cfg.snr_max), derive_seed(cfg.seed, _P_TRAIN, bi),
         )
         model, det_svm = tune_c_for_pfa(
@@ -305,10 +304,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
         curves["baseline"][label] = sweep_curve(det_base, pulse, grid, noise,
                                                 *plans["baseline"], pipe)
 
-        checks.append(
-            _check_decision_equivalence(model, det_svm, pulse, pipe, noise, cfg, bi, label)
-        )
-        checks.append(_check_threshold_agreement(det_opt, pipe, noise, cfg, bi, label))
+        checks += [_check_decision_equivalence(model, det_svm, pulse, pipe, noise, cfg, bi, label),
+                   _check_threshold_agreement(det_svm, noise, label)]
 
         for kind, by_label in curves.items():
             write_curve_csv(os.path.join(out_dir, f"{kind}_{label}.csv"), by_label[label],
@@ -348,24 +345,24 @@ def _check_decision_equivalence(
     )
 
 
-def _check_threshold_agreement(
-    det_opt: LinearDetector, pipe: FeaturePipe, noise: NoiseModel,
-    cfg: ExperimentConfig, bi: int, label: str,
-) -> CheckResult:
-    """Monte Carlo threshold must agree with the closed form within quantile error."""
-    vt_mc = threshold_for_pfa_mc(
-        det_opt.a, pipe, noise, cfg.pfa, cfg.cal_trials, derive_seed(cfg.seed, _P_VTMC, bi)
-    )
-    sigma_v = _sigma_v(det_opt.steady_a(), noise)
-    z = det_opt.v_threshold / sigma_v
+def _check_threshold_agreement(det: LinearDetector, noise: NoiseModel, label: str) -> CheckResult:
+    """A deployed Monte Carlo threshold within 4 quantile stderrs of its closed form.
+
+    Under white noise the statistic is N(0, sigma_v^2), sigma_v = sigma_n ||a_steady||,
+    so Pfa p needs sigma_v Qinv(p) (Kay 1998, ch. 4); the quantile of the n =
+    det.calibration.trials draws has se = sigma_v sqrt(p (1 - p) / n) / phi(Qinv(p)).
+    No draw: a correct calibration fails with probability 2 Q(4) ~ 6.3e-5 per set.
+    """
+    p, n = det.target_pfa, det.calibration.trials
+    sigma_v = _sigma_v(det.steady_a(), noise)
+    z = qfunc_inv(p)
     density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    se = sigma_v * math.sqrt(cfg.pfa * (1.0 - cfg.pfa) / cfg.cal_trials) / density
-    delta = abs(vt_mc - det_opt.v_threshold)
-    passed = delta <= 4.0 * se
+    se = sigma_v * math.sqrt(p * (1.0 - p) / n) / density
+    delta = det.v_threshold - sigma_v * z
     return CheckResult(
         name=f"analytic-mc-threshold[{label}]",
-        passed=passed,
-        detail=f"|V_T(mc) - V_T(analytic)| = {delta:.4g}, allowed 4*se = {4 * se:.4g}",
+        passed=abs(delta) <= 4.0 * se,
+        detail=f"V_T(mc) - V_T(analytic) = {delta:.4g} = {delta / se:+.2f} se, allowed 4 se",
     )
 
 
@@ -455,16 +452,17 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
     Each curve and detector file must hold, byte for byte, what its io
     writer renders for the object rebuilt from two sources: what the config
     fixes (provenance, id, Pfa, SNR grid, trials, seeds, layout, family,
-    calibration) and the values read back from the file itself (Pd and
-    stderr columns; weights, threshold, the SVM calibration seed and the
-    fit fields other than kkt_tolerance).  The config also fixes the
-    optimum detectors and theory curves in closed form, so their weights,
-    thresholds and Pd values must match a re-derivation within a relative
-    _REDERIVE_RTOL, which admits another CPU's BLAS rounding.  The curves
-    must pass the dominance and ceiling checks that run_experiment
-    applies, gaps.csv must be the table rendered from them and config.txt
-    its own canonical text, and checks.txt must record no FAIL and end in
-    VALID.
+    calibration) and the values read back from the file itself (Pd as a hit
+    count over n trials, _rate(round(pd * n), n); weights, threshold, the
+    SVM calibration seed and the fit fields other than kkt_tolerance).  The
+    config also fixes the optimum detectors and theory curves in closed
+    form, which _closed_form derives as for the run, so their weights,
+    thresholds and Pd values must match within a relative _REDERIVE_RTOL,
+    which admits another CPU's BLAS rounding.  Each SVM threshold must pass
+    the run's _check_threshold_agreement.  The curves must pass the
+    dominance and ceiling checks that run_experiment applies, gaps.csv must
+    be the table rendered from them and config.txt its own canonical text,
+    and checks.txt must record no FAIL and end in VALID.
     """
     messages = []
 
@@ -501,26 +499,22 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
         return False, [f"FAIL cannot load config: {e}"]
     compare(cfg_path, canonical_config_text(cfg).encode("ascii"))
     chash = config_hash(cfg)
-    grid = cfg.snr_grid()
-    filters = parse_family(cfg.family)
-    noise = NoiseModel(sigma_n=cfg.sigma_n)
-    pulse = make_chirp(cfg.length, cfg.f_start, cfg.f_end)
-    labels = tuple(_set_label(b) for b in cfg.scale_sets)
+    # run_experiment's own pipes, closed-form optimum detectors and theory curves
+    noise, _, grid, sets = _closed_form(cfg)
+    labels = tuple(label for label, *_ in sets)
     curves: dict[str, dict[str, DetectionCurve]] = {"theory": {}, "svm": {}, "baseline": {}}
-    for bi, (label, b) in enumerate(zip(labels, cfg.scale_sets)):
+    for bi, (label, b, pipe, det_opt, theory) in enumerate(sets):
         plans = _curve_plans(cfg, bi)
-        layout = ScaleLayout(b, cfg.length, filters.length)
-        # run_experiment's own closed-form optimum detector and theory curve
-        pulse_details = FeaturePipe(filters, layout).details_of(pulse)
-        det_opt = optimum_a(pulse_details, cfg.pfa, noise)
-        theory = _theory_curve(pulse_details, det_opt, noise, grid, *plans["theory"])
         for kind, by_label in curves.items():
             path = os.path.join(out_dir, f"{kind}_{label}.csv")
+            n = plans[kind][0]
             try:
                 measured, _ = read_curve_csv(path)
                 if len(measured.points) != len(grid):
                     raise ValueError(f"{len(measured.points)} rows, the SNR grid has {len(grid)}")
-                points = tuple((snr, pd, se) for snr, (_, pd, se) in zip(grid, measured.points))
+                # a Monte Carlo point is its hit count over n trials; a theory point has no stderr
+                points = tuple((snr, *(_rate(round(pd * n), n) if n else (pd, 0.0)))
+                               for snr, (_, pd, _) in zip(grid, measured.points))
                 curve = DetectionCurve(cfg.pfa, points, _detector_id(kind, b), *plans[kind])
             except (OSError, ValueError) as e:
                 fail(f"cannot check {path}: {e}")
@@ -537,7 +531,7 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
                     raise ValueError("holds no weights: expected a linear detector")
                 cal = (Calibration("analytic") if kind == "optimum" else
                        Calibration("monte_carlo", cfg.cal_trials, fitted.calibration.seed))
-                det = LinearDetector(fitted.a, layout, fitted.v_threshold, cfg.pfa, cal,
+                det = LinearDetector(fitted.a, pipe.layout, fitted.v_threshold, cfg.pfa, cal,
                                      _detector_id(kind, b))
                 fit = None
                 if kind == "svm":
@@ -553,6 +547,8 @@ def experiment_check(out_dir: str) -> tuple[bool, list[str]]:
             if kind == "optimum":
                 rederive(path, "weights", det.a, det_opt.a)
                 rederive(path, "v_threshold", det.v_threshold, det_opt.v_threshold)
+            elif not (c := _check_threshold_agreement(det, noise, label)).passed:
+                fail(f"{path}: {c.name}: {c.detail}")
             compare(path, _detector_bytes(det, cfg.family, cfg.length, fit))
     # only a full set of rebuilt curves yields the structural checks and gaps.csv
     if all(len(by_label) == len(labels) for by_label in curves.values()):

@@ -19,7 +19,11 @@ from wavedet import (
     parse_config_text,
     run_experiment,
 )
+from wavedet.detector import Calibration, LinearDetector, qfunc_inv
 from wavedet.io import read_detector, write_detector
+from wavedet.pipeline import FeaturePipe
+from wavedet.signals import NoiseModel
+from wavedet.wavelet import parse_family
 
 MINI = dict(
     length=256,
@@ -244,18 +248,36 @@ def _zero_last_baseline_pd(out):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _set_curve_column(name, col, value):
-    """Damage that sets every data cell of one column of a curve file."""
+def _set_curve_column(name, col, value, row=None):
+    """Damage that sets one column of a curve file: every data cell, or only data row ``row``."""
     def damage(out):
         path = out / name
         lines = path.read_text().splitlines()
         start = lines.index("snr_db,pd,stderr,pfa,trials,seed") + 1
-        for k in range(start, len(lines)):
+        for k in range(start, len(lines)) if row is None else [start + row]:
             cells = lines[k].split(",")
             cells[col] = value
             lines[k] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
     return damage
+
+
+def _move_svm_pd_off_lattice(out):
+    """Damage that moves svm_d3.csv's first Pd by half a trial, and gaps.csv to match."""
+    path = out / "svm_d3.csv"
+    lines = path.read_text().splitlines()
+    k = lines.index("snr_db,pd,stderr,pfa,trials,seed") + 1
+    cells = lines[k].split(",")
+    pd = float(cells[1]) + 0.5 / MINI["trials_per_point"]
+    cells[1] = repr(pd)
+    lines[k] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    gaps = out / "gaps.csv"
+    rows = gaps.read_text().splitlines()
+    i = next(i for i, r in enumerate(rows) if r.startswith(f"d3,{cells[0]},"))
+    label, snr, pd_t, _, pd_b, _ = rows[i].split(",")
+    rows[i] = f"{label},{snr},{pd_t},{pd!r},{pd_b},{float(pd_t) - pd!r}"
+    gaps.write_text("\n".join(rows) + "\n")
 
 
 def _replace_in(pattern, old, new):
@@ -278,8 +300,8 @@ def _drop_last_row(name):
     return damage
 
 
-def _rescale_optimum(name, a=1.0, v_threshold=1.0):
-    """Damage that rewrites an optimum detector with scaled weights or threshold."""
+def _rescale_detector(name, a=1.0, v_threshold=1.0):
+    """Damage that rewrites a detector file with scaled weights or threshold."""
     def damage(out):
         det, family, length, extras = read_detector(str(out / name))
         det = dataclasses.replace(det, a=det.a * a, v_threshold=det.v_threshold * v_threshold)
@@ -360,10 +382,16 @@ def _append_to(name, text):
     (_drop_last_row("svm_d3.csv"), ("svm_d3.csv", "4 rows")),
     (_append_to("config.txt", "# note\n"), ("config.txt", "# note")),
     # well-formed closed-form results that the config does not give
-    (_rescale_optimum("optimum_d3_4.det", v_threshold=0.9),
+    (_rescale_detector("optimum_d3_4.det", v_threshold=0.9),
      ("optimum_d3_4.det", "v_threshold", "re-derivation")),
-    (_rescale_optimum("optimum_d4.det", a=1.1), ("optimum_d4.det", "weights", "re-derivation")),
+    (_rescale_detector("optimum_d4.det", a=1.1), ("optimum_d4.det", "weights", "re-derivation")),
     (_rescale_theory_pd("theory_d3.csv", 0.999), ("theory_d3.csv", "pd", "re-derivation")),
+    # a deployed SVM threshold that its weights' closed form does not give
+    (_rescale_detector("svm_d3.det", v_threshold=0.9),
+     ("svm_d3.det", "analytic-mc-threshold[d3]")),
+    # a Monte Carlo point is a hit count: its stderr and Pd lattice follow from it
+    (_set_curve_column("svm_d3.csv", 2, "0.5", row=1), "svm_d3.csv"),
+    (_move_svm_pd_off_lattice, "svm_d3.csv"),
 ], ids=["gaps-deleted", "svm-detector-deleted", "baseline-pd-zeroed", "detector-swapped",
         "baseline-trials-infinite", "baseline-trials-changed", "svm-seed-changed",
         "theory-trials-negative", "svm-kind-changed", "svm-sigma-changed",
@@ -374,7 +402,8 @@ def _append_to(name, text):
         "svm-rng-changed", "svm-fit-note-added", "svm-kkt-tolerance-changed",
         "svm-fit-field-missing", "svm-passes-missing", "svm-kind-max-coeff", "svm-last-row-deleted",
         "config-comment-added", "optimum-threshold-scaled", "optimum-weights-scaled",
-        "theory-pd-scaled"])
+        "theory-pd-scaled", "svm-threshold-scaled", "svm-one-stderr-changed",
+        "svm-pd-off-lattice"])
 def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     _, out = mini_run
     bad = tmp_path / "damaged"
@@ -386,6 +415,42 @@ def test_check_rejects_damaged_outputs(mini_run, tmp_path, damage, named):
     # appears in one FAIL line
     named = (named,) if isinstance(named, str) else named
     assert any(m.startswith("FAIL") and all(n in m for n in named) for m in messages), messages
+
+
+def test_run_draws_only_training_thresholds_and_curves(mini_cfg, tmp_path, monkeypatch):
+    # the self-checks draw no noise: per scale set, every realisation is a
+    # training pattern, a calibration trial of the SVM or the baseline, or a
+    # trial of the SVM or the baseline curve
+    drawn = {}
+    real = FeaturePipe.noise_steady
+
+    def counting(self, model, trials, *args, **kwargs):
+        drawn[self.layout.scales] = drawn.get(self.layout.scales, 0) + trials
+        return real(self, model, trials, *args, **kwargs)
+
+    monkeypatch.setattr(FeaturePipe, "noise_steady", counting)
+    run_experiment(mini_cfg, str(tmp_path))
+    c = mini_cfg
+    per_set = c.n_pos + c.n_neg + 2 * c.cal_trials + 2 * c.trials_per_point
+    assert drawn == {b: per_set for b in c.scale_sets}
+
+
+def test_threshold_check_allows_four_quantile_stderrs():
+    # MINI's d3 layout, with a threshold at k standard errors from sigma_v Qinv(p)
+    noise = NoiseModel(1.5)
+    pipe = FeaturePipe.for_scales(256, parse_family("db5"), (3,))
+    a = pipe.layout.embed(np.linspace(-1.0, 2.0, pipe.layout.steady_length))
+    p, n = 0.01, 10_000
+    sigma_v = 1.5 * float(np.linalg.norm(pipe.layout.gather(a)))
+    z = qfunc_inv(p)
+    se = sigma_v * math.sqrt(p * (1 - p) / n) / (math.exp(-z * z / 2) / math.sqrt(2 * math.pi))
+    for k, passed in ((0.0, True), (3.99, True), (-3.99, True), (4.01, False), (-4.01, False)):
+        det = LinearDetector(a, pipe.layout, sigma_v * z + k * se, p,
+                             Calibration("monte_carlo", n, 0))
+        check = harness._check_threshold_agreement(det, noise, "d3")
+        assert check.passed is passed, (k, check)
+        assert check.name == "analytic-mc-threshold[d3]"
+        assert f"{k:+.2f} se" in check.detail
 
 
 def test_theory_curves_dominate_subsets(mini_run):
