@@ -34,6 +34,7 @@ every SNR and every alpha, without a noise draw.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +47,7 @@ from .detector import (
     _template_mu,
     threshold_for_pfa_mc,
 )
+from . import pipeline
 from .pipeline import FeaturePipe
 from .rng import derive_seed, substream, uniform
 from .signals import NoiseModel, SampledSignal, amplitude
@@ -65,6 +67,9 @@ __all__ = [
 _PATH_SNR, _PATH_POS, _PATH_NEG = 0, 1, 2
 
 _BOUND_SNAP = 1e-12  # relative snap of beta onto 0 and its box bound
+
+# rows per block of the Gram matrix; the block boundaries depend only on n
+_GRAM_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -201,6 +206,34 @@ def _check_smo_args(c_plus: float, c_minus: float, kkt_tolerance: float, max_pas
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
 
 
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X @ X.T, its row blocks computed on at most one worker per usable CPU.
+
+    NumPy runs X @ X.T as one single-threaded syrk plus a copy into the
+    mirror triangle.  Here each block of _GRAM_ROWS rows is one GEMM on the
+    transposed view, written straight into K, so neither X nor X.T is
+    copied, and every worker is joined before this returns or raises.  The
+    blocks depend only on n, so K has the same bytes on any number of
+    CPUs; for even n they match X @ X.T bit for bit on every shape the tests
+    check.  At most _GRAM_ROWS rows take X @ X.T itself.
+    """
+    n = X.shape[0]
+    if n <= _GRAM_ROWS:
+        return X @ X.T
+    K = np.empty((n, n))
+
+    def block(a: int) -> None:
+        np.matmul(X[a:a + _GRAM_ROWS], X.T, out=K[a:a + _GRAM_ROWS])
+
+    starts = range(0, n, _GRAM_ROWS)
+    workers = min(pipeline._worker_count(), len(starts))
+    # leaving the with block joins every worker; the first error cancels
+    # the blocks not yet started and re-raises here
+    with ThreadPoolExecutor(workers, thread_name_prefix="wavedet-gram") as pool:
+        list(pool.map(block, starts))
+    return K
+
+
 def train(
     ts: TrainingSet,
     c_plus: float,
@@ -221,8 +254,9 @@ def train(
     pass budget runs out first the model is returned with
     ``converged=False``.  The model's alphas are |beta|.
 
-    ``gram`` is ``ts.X @ ts.X.T``, passed by a caller that trains several
-    times on one set (``tune_c_for_pfa``); when None, train builds it.
+    ``gram`` is ``_gram(ts.X)``, the Gram matrix built in fixed row blocks,
+    passed by a caller that trains several times on one set
+    (``tune_c_for_pfa``); when None, train builds it the same way.
     A step allocates no array: the pair is the argmax of F + up_pen and
     the argmin of F + low_pen, where up_pen is 0 on I_up and -inf
     elsewhere, low_pen is 0 on I_low and +inf elsewhere, and both change
@@ -233,7 +267,7 @@ def train(
     n = ts.n_patterns
     if gram is not None and gram.shape != (n, n):
         raise ValueError(f"gram must be ({n}, {n}) for this training set, got {gram.shape}")
-    K = X @ X.T if gram is None else gram
+    K = _gram(X) if gram is None else gram
     y = ts.y.astype(np.float64)
     pos = ts.y == 1
     box_a = np.where(pos, float(c_plus), float(c_minus))
@@ -372,7 +406,7 @@ def tune_c_for_pfa(
         raise ValueError("c_grid must be non-empty")
     _require_layout("pipe", pipe.layout, ts.layout)
     mu = _template_mu(pulse, pipe)
-    gram = ts.X @ ts.X.T  # shared by every grid point, freed on return
+    gram = _gram(ts.X)  # shared by every grid point, freed on return
     models = [train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, gram=gram)
               for cp, cm in grid]
     gi = int(np.argmax([_deflection(m, mu) for m in models]))  # the first maximum

@@ -6,6 +6,8 @@ algebra. Larger random problems are cross-checked against a dense
 projected-gradient oracle in the acceptance suite.
 """
 
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from wavedet import (
     calibrate_bias,
     decision,
     make_chirp,
+    pipeline,
     realized_pfa_mc,
     statistic,
     threshold_for_pfa_analytic,
@@ -393,6 +396,77 @@ def test_tune_c_shares_one_gram_matrix_across_grid_points(
     np.testing.assert_array_equal(grams[0], ts.X @ ts.X.T)
 
 
+def _same_bits(a, b):
+    # exact bit patterns, without copying an n x n array into bytes
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _gram_workers():
+    return [t.name for t in threading.enumerate() if t.name.startswith("wavedet-gram")]
+
+
+@pytest.mark.parametrize("n, d", [
+    (500, 28),     # MINI, one block
+    (600, 200),    # the stream_detect training set, two blocks
+    (2000, 6), (2000, 22), (2000, 54), (2000, 82), (2000, 118), (2000, 200),  # reference
+    (5000, 224),   # the largest study set
+])
+def test_gram_is_x_xt_byte_for_byte_on_any_worker_count(monkeypatch, n, d):
+    X = np.random.default_rng(n + d).standard_normal((n, d))
+    want = X @ X.T
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+        assert _same_bits(svm_module._gram(X), want), f"{workers} workers"
+    assert not _gram_workers()
+
+
+def test_gram_of_an_odd_set_does_not_depend_on_the_worker_count(monkeypatch):
+    # at odd n the block GEMM may differ from syrk's X @ X.T by an ulp in a
+    # few entries, but never between worker counts
+    X = np.random.default_rng(7).standard_normal((4001, 194))
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 1)
+    want = svm_module._gram(X)
+    np.testing.assert_allclose(want[::400], X[::400] @ X.T, rtol=1e-12, atol=1e-10)
+    for workers in (2, 3, 4):
+        monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+        assert _same_bits(svm_module._gram(X), want), f"{workers} workers"
+
+
+def test_gram_blocks_run_on_at_most_the_worker_count(monkeypatch):
+    X = np.random.default_rng(3).standard_normal((2000, 22))  # 4 blocks
+    names, real = [], np.matmul
+
+    def recording(a, b, out):
+        names.append(threading.current_thread().name)
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+    monkeypatch.setattr(svm_module.np, "matmul", recording)
+    K = svm_module._gram(X)
+    monkeypatch.undo()
+    assert _same_bits(K, X @ X.T)
+    assert len(names) == 4 and len(set(names)) <= 2
+    assert all(name.startswith("wavedet-gram") for name in names)
+    assert not _gram_workers()
+
+
+def test_a_failing_gram_block_raises_after_every_worker_has_stopped(monkeypatch):
+    # one block fails slowly while the other workers finish theirs; the
+    # error leaves the call, and no Gram worker remains
+    X = np.random.default_rng(4).standard_normal((2000, 22))
+    real, first = np.matmul, threading.Lock()
+
+    def failing(a, b, out):
+        if first.acquire(blocking=False):
+            time.sleep(0.2)
+            raise RuntimeError("block failed")
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 3)
+    monkeypatch.setattr(svm_module.np, "matmul", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        svm_module._gram(X)
+    assert not _gram_workers()
 
 
 # the winner is the middle point: c_g is about 1.63, 2.00 and 1.69 on this set
