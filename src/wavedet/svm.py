@@ -12,9 +12,13 @@ maximal F_i over I_up = {beta < ub} against minimal F_j over
 I_low = {beta > lb}, F_i = y_i - sum_k beta_k K_ik, and solves the
 two-variable subproblem beta_i += t, beta_j -= t in closed form.  The
 index sets are kept as two penalty arrays (0 inside the set, -inf or
-+inf outside) that each step updates at i and j, so a step allocates no
-array; the Gram matrix K_ik = <x_i, x_k> is built once per training set
-and shared by every C grid point of the tuner.
++inf outside) that each step updates at i and j.  No n x n Gram matrix
+is built: kernel row K_i = X x_i is computed the first time a step picks
+i and kept in a row store, a list of n entries that are None until built,
+which the tuner shares across its C grid points.  A fit touches few rows
+(122 to 130 of 5,000 in each fit of the bench study), so memory is about
+(rows touched) x n, not n x n, and a step allocates only the rows it
+builds.
 Per-class box bounds C+ / C- implement the asymmetric penalty used to
 price false positives above misses.
 
@@ -34,7 +38,6 @@ every SNR and every alpha, without a noise draw.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +50,6 @@ from .detector import (
     _template_mu,
     threshold_for_pfa_mc,
 )
-from . import pipeline
 from .pipeline import FeaturePipe
 from .rng import derive_seed, substream, uniform
 from .signals import NoiseModel, SampledSignal, amplitude
@@ -67,9 +69,6 @@ __all__ = [
 _PATH_SNR, _PATH_POS, _PATH_NEG = 0, 1, 2
 
 _BOUND_SNAP = 1e-12  # relative snap of beta onto 0 and its box bound
-
-# rows per block of the Gram matrix; the block boundaries depend only on n
-_GRAM_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -206,32 +205,16 @@ def _check_smo_args(c_plus: float, c_minus: float, kkt_tolerance: float, max_pas
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """X @ X.T, its row blocks computed on at most one worker per usable CPU.
+def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X @ v with each entry summed by NumPy's own loop, not by BLAS.
 
-    NumPy runs X @ X.T as one single-threaded syrk plus a copy into the
-    mirror triangle.  Here each block of _GRAM_ROWS rows is one GEMM on the
-    transposed view, written straight into K, so neither X nor X.T is
-    copied, and every worker is joined before this returns or raises.  The
-    blocks depend only on n, so K has the same bytes on any number of
-    CPUs; for even n they match X @ X.T bit for bit on every shape the tests
-    check.  At most _GRAM_ROWS rows take X @ X.T itself.
+    OpenBLAS splits a large gemv's rows over its threads, and where a
+    thread's share is not a multiple of four rows its kernel rounds some
+    entries differently: ``X @ v`` at n = 4001 to 4006 (d = 194) has other
+    bits on one thread than on two.  This product's bits depend only on X
+    and v.
     """
-    n = X.shape[0]
-    if n <= _GRAM_ROWS:
-        return X @ X.T
-    K = np.empty((n, n))
-
-    def block(a: int) -> None:
-        np.matmul(X[a:a + _GRAM_ROWS], X.T, out=K[a:a + _GRAM_ROWS])
-
-    starts = range(0, n, _GRAM_ROWS)
-    workers = min(pipeline._worker_count(), len(starts))
-    # leaving the with block joins every worker; the first error cancels
-    # the blocks not yet started and re-raises here
-    with ThreadPoolExecutor(workers, thread_name_prefix="wavedet-gram") as pool:
-        list(pool.map(block, starts))
-    return K
+    return np.einsum("ij,j->i", X, v)
 
 
 def train(
@@ -240,9 +223,9 @@ def train(
     c_minus: float,
     kkt_tolerance: float = 1e-3,
     max_passes: int = 10_000,
-    gram: np.ndarray | None = None,
+    rows: list[np.ndarray | None] | None = None,
 ) -> SvmModel:
-    """Maximal-violating-pair SMO in beta = alpha * y on the Gram matrix.
+    """Maximal-violating-pair SMO in beta = alpha * y on kernel rows built on demand.
 
     Each step moves beta_i up and beta_j down by the same t, clipped to
     min(ub_i - beta_i, beta_j - lb_j), then snaps both onto 0 or their
@@ -254,20 +237,30 @@ def train(
     pass budget runs out first the model is returned with
     ``converged=False``.  The model's alphas are |beta|.
 
-    ``gram`` is ``_gram(ts.X)``, the Gram matrix built in fixed row blocks,
-    passed by a caller that trains several times on one set
-    (``tune_c_for_pfa``); when None, train builds it the same way.
-    A step allocates no array: the pair is the argmax of F + up_pen and
-    the argmin of F + low_pen, where up_pen is 0 on I_up and -inf
-    elsewhere, low_pen is 0 on I_low and +inf elsewhere, and both change
-    at i and j only.
+    Kernel row K_i is ``_matvec(X, X[i])``, computed the first time a step
+    picks i and kept in ``rows``, a list of n entries that are None until
+    built.  Every row comes from that one call, never from a product of
+    several rows, so its bits and the fit's do not depend on which rows
+    were built before; a caller that trains several times on one set
+    (``tune_c_for_pfa``) passes one store to every fit, and when None
+    train starts an empty one.  eta reads K_ii, K_jj and K_ij from rows i
+    and j.  The per-pass refresh sums w = sum_k beta_k x_k in index order
+    (``np.einsum``; the gemv ``X.T @ beta`` would split the sum over BLAS
+    threads) and sets f = _matvec(X, w); the model's w is the last
+    pass's.  So no product here follows the BLAS thread count.
+
+    Apart from building a row, a step allocates no array: the pair is the
+    argmax of F + up_pen and the argmin of F + low_pen, where up_pen is 0
+    on I_up and -inf elsewhere, low_pen is 0 on I_low and +inf elsewhere,
+    and both change at i and j only.
     """
     _check_smo_args(c_plus, c_minus, kkt_tolerance, max_passes)
     X = ts.X
     n = ts.n_patterns
-    if gram is not None and gram.shape != (n, n):
-        raise ValueError(f"gram must be ({n}, {n}) for this training set, got {gram.shape}")
-    K = _gram(X) if gram is None else gram
+    if rows is None:
+        rows = [None] * n
+    elif len(rows) != n:
+        raise ValueError(f"rows must hold {n} entries for this training set, got {len(rows)}")
     y = ts.y.astype(np.float64)
     pos = ts.y == 1
     box_a = np.where(pos, float(c_plus), float(c_minus))
@@ -275,7 +268,6 @@ def train(
     box = box_a.tolist()
     ub = np.where(pos, box_a, 0.0).tolist()
     lb = np.where(pos, 0.0, -box_a).tolist()
-    diag = K.diagonal().tolist()
     beta = np.zeros(n)
     up_pen = np.where(pos, 0.0, -np.inf)  # beta = 0 lies below ub only if positive
     low_pen = np.where(pos, np.inf, 0.0)
@@ -297,8 +289,13 @@ def train(
             if m - m_low <= kkt_tolerance:
                 converged = True
                 break
+            K_i, K_j = rows[i], rows[j]
+            if K_i is None:
+                K_i = rows[i] = _matvec(X, X[i])
+            if K_j is None:
+                K_j = rows[j] = _matvec(X, X[j])
             t_hi = min(ub[i] - beta.item(i), beta.item(j) - lb[j])
-            eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
+            eta = K_i.item(i) + K_j.item(j) - 2.0 * K_i.item(j)
             if eta > 0.0:
                 t = min((m - m_low) / eta, t_hi)
             else:
@@ -312,17 +309,17 @@ def train(
                 beta[k] = bk
                 up_pen[k] = 0.0 if bk < ub[k] else -np.inf
                 low_pen[k] = 0.0 if bk > lb[k] else np.inf
-            # rows, not strided columns: K is symmetric
-            f += np.multiply(np.subtract(K[i], K[j], out=buf), t, out=buf)
+            f += np.multiply(np.subtract(K_i, K_j, out=buf), t, out=buf)
         # exact refresh closes any incremental drift
-        f = K @ beta
+        w = np.einsum("i,ij->j", beta, X)
+        f = _matvec(X, w)
         history.append(float(np.sum(np.abs(beta)) - 0.5 * beta @ f))
         if converged:
             break
     return SvmModel(
         alphas=np.abs(beta),
         y=ts.y,
-        w=X.T @ beta,
+        w=w,
         b=0.5 * (m + m_low),
         c_plus=float(c_plus),
         c_minus=float(c_minus),
@@ -406,8 +403,8 @@ def tune_c_for_pfa(
         raise ValueError("c_grid must be non-empty")
     _require_layout("pipe", pipe.layout, ts.layout)
     mu = _template_mu(pulse, pipe)
-    gram = _gram(ts.X)  # shared by every grid point, freed on return
-    models = [train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, gram=gram)
+    rows: list[np.ndarray | None] = [None] * ts.n_patterns  # shared by every grid point
+    models = [train(ts, cp, cm, kkt_tolerance=kkt_tolerance, max_passes=max_passes, rows=rows)
               for cp, cm in grid]
     gi = int(np.argmax([_deflection(m, mu) for m in models]))  # the first maximum
     det = calibrate_bias(models[gi], noise, pipe, target_pfa, cal_trials, derive_seed(seed, gi, 0))

@@ -64,10 +64,14 @@ def kkt_violation(model, X):
 def reference_smo(X, y, c_plus, c_minus, kkt_tolerance, max_passes):
     """The SMO loop as it stood before its steps stopped allocating.
 
-    Frozen as written then: K is built per fit, the index sets are fresh
-    ``np.where`` masks each step and the margin update forms
-    ``t * (K[i] - K[j])`` as temporaries.  ``wavedet.svm.train`` must give
-    the same bytes.  Returns (beta, b, converged, n_passes, history).
+    Frozen as written then: the index sets are fresh ``np.where`` masks each
+    step and the margin update forms ``t * (K[i] - K[j])`` as temporaries.
+    Re-frozen on kernel rows built on demand: row K[k] is X x_k, made the
+    first time a step picks k, and each pass forms w = X.T beta and then
+    f = X w, every product summed by ``np.einsum``.
+    ``wavedet.svm.train`` must give the same bytes and build the same rows.
+    Returns (beta, w, b, converged, n_passes, history, built), ``built``
+    being the set of row indices the steps used.
     """
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
@@ -75,7 +79,7 @@ def reference_smo(X, y, c_plus, c_minus, kkt_tolerance, max_passes):
     box = np.where(pos, float(c_plus), float(c_minus))
     ub = np.where(pos, box, 0.0)
     lb = np.where(pos, 0.0, -box)
-    K = X @ X.T
+    K = {}
     beta = np.zeros(n)
     f = np.zeros(n)
     history = []
@@ -92,8 +96,11 @@ def reference_smo(X, y, c_plus, c_minus, kkt_tolerance, max_passes):
             if m - m_low <= kkt_tolerance:
                 converged = True
                 break
+            for k in (i, j):
+                if k not in K:
+                    K[k] = np.einsum("ij,j->i", X, X[k])
             t_hi = min(float(ub[i] - beta[i]), float(beta[j] - lb[j]))
-            eta = float(K[i, i] + K[j, j] - 2.0 * K[i, j])
+            eta = float(K[i][i] + K[j][j] - 2.0 * K[i][j])
             if eta > 0.0:
                 t = min((m - m_low) / eta, t_hi)
             else:
@@ -106,11 +113,12 @@ def reference_smo(X, y, c_plus, c_minus, kkt_tolerance, max_passes):
                 elif abs(beta[k]) > box[k] * (1.0 - 1e-12):
                     beta[k] = ub[k] if pos[k] else lb[k]
             f += t * (K[i] - K[j])
-        f = K @ beta
+        w = np.einsum("i,ij->j", beta, X)
+        f = np.einsum("ij,j->i", X, w)
         history.append(float(np.sum(np.abs(beta)) - 0.5 * beta @ f))
         if converged:
             break
-    return beta, 0.5 * (m + m_low), converged, n_passes, tuple(history)
+    return beta, w, 0.5 * (m + m_low), converged, n_passes, tuple(history), set(K)
 
 
 def stage_matrix(f, n):

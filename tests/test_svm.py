@@ -6,13 +6,16 @@ algebra. Larger random problems are cross-checked against a dense
 projected-gradient oracle in the acceptance suite.
 """
 
-import threading
-import time
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import wavedet
 from wavedet import (
     FeaturePipe,
     NoiseModel,
@@ -22,7 +25,6 @@ from wavedet import (
     calibrate_bias,
     decision,
     make_chirp,
-    pipeline,
     realized_pfa_mc,
     statistic,
     threshold_for_pfa_analytic,
@@ -263,9 +265,9 @@ def test_train_input_validation(pipe34):
         train(ts, 1.0, 1.0, max_passes=0)
     with pytest.raises(ValueError):
         tiny_set(X, [1.0, 1.0], pipe34.layout)  # one class only
-    for shape in ((2, 3), (3, 3), (4,)):
-        with pytest.raises(ValueError, match="gram"):
-            train(ts, 1.0, 1.0, gram=np.zeros(shape))
+    for store in ([], [None], [None] * 3):
+        with pytest.raises(ValueError, match="rows must hold 2 entries"):
+            train(ts, 1.0, 1.0, rows=store)
 
 
 def test_model_validation(pipe34):
@@ -355,18 +357,21 @@ def _reference_case(name, pipe34, pulse256, db5, noise):
 ])
 def test_train_matches_the_frozen_reference_loop(case, pipe34, pulse256, db5, noise):
     # the allocation-free step must take the reference's arithmetic step for
-    # step, so every output is byte-identical with or without a shared gram
+    # step and build the rows its steps use, so every output is
+    # byte-identical whether the row store starts empty or full
     ts, c_plus, c_minus, tol, max_passes = _reference_case(case, pipe34, pulse256, db5, noise)
-    beta, b, converged, n_passes, history = reference_smo(
+    beta, w, b, converged, n_passes, history, built = reference_smo(
         ts.X, ts.y, c_plus, c_minus, tol, max_passes
     )
-    for gram in (None, ts.X @ ts.X.T):
-        m = train(ts, c_plus, c_minus, tol, max_passes, gram=gram)
+    empty = [None] * ts.n_patterns
+    for rows in (None, empty, [np.einsum("ij,j->i", ts.X, x) for x in ts.X]):
+        m = train(ts, c_plus, c_minus, tol, max_passes, rows=rows)
         assert m.alphas.tobytes() == np.abs(beta).tobytes()
-        assert m.w.tobytes() == (ts.X.T @ beta).tobytes()
+        assert m.w.tobytes() == w.tobytes()
         assert np.float64(m.b).tobytes() == np.float64(b).tobytes()
         assert (m.converged, m.n_passes) == (converged, n_passes)
         assert np.asarray(m.objective_history).tobytes() == np.asarray(history).tobytes()
+    assert _built(empty) == built
     if case == "pass-limit":
         assert not converged and n_passes == 2
     else:
@@ -377,14 +382,33 @@ def test_train_matches_the_frozen_reference_loop(case, pipe34, pulse256, db5, no
         assert np.any(m.alphas == 0.3)  # some positive multiplier sits on its box
 
 
-def test_tune_c_shares_one_gram_matrix_across_grid_points(
+def _built(rows):
+    """Indices of the rows a store holds."""
+    return {k for k, r in enumerate(rows) if r is not None}
+
+
+def test_a_one_pass_fit_builds_only_the_rows_its_steps_use(pulse256, db5, noise):
+    # at high SNR the classes separate and the fit converges in one pass;
+    # its steps revisit few patterns, so most rows are never built
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 300, 300, (5.0, 15.0), seed=11)
+    rows = [None] * ts.n_patterns
+    m = train(ts, 1.0, 1.0, rows=rows)
+    *_, converged, n_passes, _history, built = reference_smo(ts.X, ts.y, 1.0, 1.0, 1e-3, 10_000)
+    assert m.converged and m.n_passes == 1 and (converged, n_passes) == (True, 1)
+    assert _built(rows) == built
+    assert len(built) <= ts.n_patterns // 10
+    for k in built:
+        assert rows[k].tobytes() == np.einsum("ij,j->i", ts.X, ts.X[k]).tobytes()
+
+
+def test_tune_c_shares_one_row_store_across_grid_points(
     monkeypatch, pulse256, pipe34, db5, noise
 ):
     ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
-    grams, cs, real_train = [], [], svm_module.train
+    stores, cs, real_train = [], [], svm_module.train
 
     def spy(*args, **kwargs):
-        grams.append(kwargs.get("gram"))
+        stores.append(kwargs.get("rows"))
         cs.append(args[1:3])
         return real_train(*args, **kwargs)
 
@@ -392,85 +416,99 @@ def test_tune_c_shares_one_gram_matrix_across_grid_points(
     grid = ((0.5, 5.0), (1.0, 10.0), (2.0, 20.0))
     tune_c_for_pfa(ts, noise, pipe34, 0.05, grid, 4000, 8, pulse256)
     assert cs == list(grid)  # one fit per grid point, in grid order
-    assert grams[0] is not None and all(g is grams[0] for g in grams)
-    np.testing.assert_array_equal(grams[0], ts.X @ ts.X.T)
+    assert isinstance(stores[0], list) and len(stores[0]) == ts.n_patterns
+    assert all(rows is stores[0] for rows in stores)
+    assert _built(stores[0])
+    for k in _built(stores[0]):
+        assert stores[0][k].tobytes() == np.einsum("ij,j->i", ts.X, ts.X[k]).tobytes()
 
 
-def _same_bits(a, b):
-    # exact bit patterns, without copying an n x n array into bytes
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+# the shapes of the MINI run, stream_detect's set, the reference sets, the
+# largest study set and the README's wavedet train, and an odd set whose gemv
+# OpenBLAS splits unevenly over its threads
+_BLAS_SHAPES = [(500, 28), (600, 200), (2000, 6), (2000, 22), (2000, 54), (2000, 82),
+                (2000, 118), (2000, 200), (5000, 224), (4000, 194), (4001, 194)]
 
-
-def _gram_workers():
-    return [t.name for t in threading.enumerate() if t.name.startswith("wavedet-gram")]
-
-
-@pytest.mark.parametrize("n, d", [
-    (500, 28),     # MINI, one block
-    (600, 200),    # the stream_detect training set, two blocks
-    (2000, 6), (2000, 22), (2000, 54), (2000, 82), (2000, 118), (2000, 200),  # reference
-    (5000, 224),   # the largest study set
-])
-def test_gram_is_x_xt_byte_for_byte_on_any_worker_count(monkeypatch, n, d):
+# one fit per shape on two shifted Gaussian classes, at most two passes;
+# prints a digest of its alphas, w, history and every row it built
+_FIT_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from wavedet.svm import TrainingSet, train
+from wavedet.wavelet import ScaleLayout
+digests = {}
+for n, d in json.loads(sys.argv[1]):
+    y = np.where(np.arange(n) < n // 2, 1, -1)
     X = np.random.default_rng(n + d).standard_normal((n, d))
-    want = X @ X.T
-    for workers in (1, 2, 3, 4):
-        monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
-        assert _same_bits(svm_module._gram(X), want), f"{workers} workers"
-    assert not _gram_workers()
+    X[:, 0] += 2.0 * y
+    N = 1 << (2 * d + 2).bit_length()  # scale 1 keeps N/2 - L steady coefficients
+    ts = TrainingSet(X=X, y=y, layout=ScaleLayout((1,), N, N // 2 - d))
+    rows = [None] * n
+    m = train(ts, 0.1, 0.1, max_passes=2, rows=rows)
+    h = hashlib.sha256(m.alphas.tobytes() + m.w.tobytes() + repr(m.objective_history).encode())
+    for r in rows:
+        if r is not None:
+            h.update(r.tobytes())
+    digests[f"{n}-{d}"] = h.hexdigest()
+print(json.dumps(digests))
+"""
 
 
-def test_gram_of_an_odd_set_does_not_depend_on_the_worker_count(monkeypatch):
-    # at odd n the block GEMM may differ from syrk's X @ X.T by an ulp in a
-    # few entries, but never between worker counts
-    X = np.random.default_rng(7).standard_normal((4001, 194))
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: 1)
-    want = svm_module._gram(X)
-    np.testing.assert_allclose(want[::400], X[::400] @ X.T, rtol=1e-12, atol=1e-10)
-    for workers in (2, 3, 4):
-        monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
-        assert _same_bits(svm_module._gram(X), want), f"{workers} workers"
+@pytest.fixture(scope="module")
+def fit_digests_by_blas_threads():
+    """Each shape's fit digest from one fresh process per OpenBLAS thread count."""
+    # the fresh interpreters import the same package as this one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavedet.__file__)))
+    out = {}
+    for threads in ("1", "2", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _FIT_DIGESTS, json.dumps(_BLAS_SHAPES)],
+                             capture_output=True, text=True, check=True, env=env, timeout=300)
+        out[threads] = json.loads(run.stdout)
+    return out
 
 
-def test_gram_blocks_run_on_at_most_the_worker_count(monkeypatch):
-    X = np.random.default_rng(3).standard_normal((2000, 22))  # 4 blocks
-    names, real = [], np.matmul
-
-    def recording(a, b, out):
-        names.append(threading.current_thread().name)
-        return real(a, b, out=out)
-
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
-    monkeypatch.setattr(svm_module.np, "matmul", recording)
-    K = svm_module._gram(X)
-    monkeypatch.undo()
-    assert _same_bits(K, X @ X.T)
-    assert len(names) == 4 and len(set(names)) <= 2
-    assert all(name.startswith("wavedet-gram") for name in names)
-    assert not _gram_workers()
-
-
-def test_a_failing_gram_block_raises_after_every_worker_has_stopped(monkeypatch):
-    # one block fails slowly while the other workers finish theirs; the
-    # error leaves the call, and no Gram worker remains
-    X = np.random.default_rng(4).standard_normal((2000, 22))
-    real, first = np.matmul, threading.Lock()
-
-    def failing(a, b, out):
-        if first.acquire(blocking=False):
-            time.sleep(0.2)
-            raise RuntimeError("block failed")
-        return real(a, b, out=out)
-
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: 3)
-    monkeypatch.setattr(svm_module.np, "matmul", failing)
-    with pytest.raises(RuntimeError, match="block failed"):
-        svm_module._gram(X)
-    assert not _gram_workers()
+@pytest.mark.parametrize("n, d", _BLAS_SHAPES)
+def test_a_fit_and_its_rows_do_not_depend_on_the_blas_thread_count(
+    fit_digests_by_blas_threads, n, d
+):
+    # OpenBLAS caps its pool at the usable CPUs, so a host with fewer than
+    # four checks fewer distinct thread counts
+    digests = {threads: by_shape[f"{n}-{d}"] for threads, by_shape in
+               fit_digests_by_blas_threads.items()}
+    assert len(set(digests.values())) == 1, digests
 
 
 # the winner is the middle point: c_g is about 1.63, 2.00 and 1.69 on this set
 _TUNE_GRID = ((0.1, 1.0), (1.0, 1.0), (10.0, 10.0))
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_a_fit_in_the_tuner_has_the_bytes_of_the_same_fit_trained_alone(
+    monkeypatch, pulse256, pipe34, db5, noise, order
+):
+    # the grid points share one row store, so every fit after the first
+    # starts on rows that others built; its bytes must not depend on them
+    ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
+    grid = _TUNE_GRID if order == "forward" else _TUNE_GRID[::-1]
+    fits, held, real_train = [], [], svm_module.train
+
+    def spy(ts, c_plus, c_minus, **kwargs):
+        held.append(len(_built(kwargs["rows"])))
+        fits.append(real_train(ts, c_plus, c_minus, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(svm_module, "train", spy)
+    tune_c_for_pfa(ts, noise, pipe34, 0.05, grid, 4000, 8, pulse256)
+    monkeypatch.undo()
+    assert held[0] == 0 and all(h > 0 for h in held[1:])
+    for fit, (c_plus, c_minus) in zip(fits, grid, strict=True):
+        alone = train(ts, c_plus, c_minus)
+        assert fit.alphas.tobytes() == alone.alphas.tobytes()
+        assert fit.w.tobytes() == alone.w.tobytes()
+        assert np.float64(fit.b).tobytes() == np.float64(alone.b).tobytes()
+        assert (fit.n_passes, fit.objective_history) == (alone.n_passes, alone.objective_history)
 
 
 def _tune_spied(monkeypatch, ts, grid, pipe, noise, pulse, seed=8):
