@@ -401,9 +401,11 @@ def test_a_one_pass_fit_builds_only_the_rows_its_steps_use(pulse256, db5, noise)
         assert rows[k].tobytes() == np.einsum("ij,j->i", ts.X, ts.X[k]).tobytes()
 
 
-def test_tune_c_shares_one_row_store_across_grid_points(
+def test_tune_c_shares_one_gram_matrix_across_grid_points(
     monkeypatch, pulse256, pipe34, db5, noise
 ):
+    # the shared Gram matrix is a row store: the rows of K = X X^T that the
+    # fits have built so far, None where no step has picked the pattern yet
     ts = build_training_set(pulse256, (3, 4), db5, noise, 60, 60, (-12.0, 0.0), seed=6)
     stores, cs, real_train = [], [], svm_module.train
 
@@ -423,20 +425,26 @@ def test_tune_c_shares_one_row_store_across_grid_points(
         assert stores[0][k].tobytes() == np.einsum("ij,j->i", ts.X, ts.X[k]).tobytes()
 
 
-# the shapes of the MINI run, stream_detect's set, the reference sets, the
-# largest study set and the README's wavedet train, and an odd set whose gemv
-# OpenBLAS splits unevenly over its threads
-_BLAS_SHAPES = [(500, 28), (600, 200), (2000, 6), (2000, 22), (2000, 54), (2000, 82),
-                (2000, 118), (2000, 200), (5000, 224), (4000, 194), (4001, 194)]
+# the shapes of the MINI run, stream_detect's set, the reference sets and
+# the largest study set
+_GRAM_SHAPES = [(500, 28), (600, 200), (2000, 6), (2000, 22), (2000, 54), (2000, 82),
+                (2000, 118), (2000, 200), (5000, 224)]
+
+# those, the README's wavedet train, and an odd set whose gemv OpenBLAS
+# splits unevenly over its threads
+_BLAS_SHAPES = [*_GRAM_SHAPES, (4000, 194), (4001, 194)]
 
 # one fit per shape on two shifted Gaussian classes, at most two passes;
-# prints a digest of its alphas, w, history and every row it built
+# prints, per shape, a digest of its alphas, w and history, a digest of
+# every Gram row it built, whether each such row is the fixed-order product
+# of X and that pattern byte for byte, and the largest gap of the rows to
+# OpenBLAS's X @ X.T relative to the tolerance rtol=1e-12, atol=1e-10
 _FIT_DIGESTS = """
 import hashlib, json, sys
 import numpy as np
 from wavedet.svm import TrainingSet, train
 from wavedet.wavelet import ScaleLayout
-digests = {}
+out = {}
 for n, d in json.loads(sys.argv[1]):
     y = np.where(np.arange(n) < n // 2, 1, -1)
     X = np.random.default_rng(n + d).standard_normal((n, d))
@@ -445,18 +453,23 @@ for n, d in json.loads(sys.argv[1]):
     ts = TrainingSet(X=X, y=y, layout=ScaleLayout((1,), N, N // 2 - d))
     rows = [None] * n
     m = train(ts, 0.1, 0.1, max_passes=2, rows=rows)
-    h = hashlib.sha256(m.alphas.tobytes() + m.w.tobytes() + repr(m.objective_history).encode())
-    for r in rows:
+    fit = hashlib.sha256(m.alphas.tobytes() + m.w.tobytes() + repr(m.objective_history).encode())
+    gram, exact, gap = hashlib.sha256(), True, 0.0
+    for k, r in enumerate(rows):
         if r is not None:
-            h.update(r.tobytes())
-    digests[f"{n}-{d}"] = h.hexdigest()
-print(json.dumps(digests))
+            gram.update(k.to_bytes(4, "little") + r.tobytes())
+            exact &= r.tobytes() == np.einsum("ij,j->i", X, X[k]).tobytes()
+            blas = X @ X[k]
+            gap = max(gap, float(np.max(np.abs(r - blas) / (1e-10 + 1e-12 * np.abs(blas)))))
+    out[f"{n}-{d}"] = {"fit": fit.hexdigest(), "gram": gram.hexdigest(),
+                       "built": sum(r is not None for r in rows), "exact": exact, "gap": gap}
+print(json.dumps(out))
 """
 
 
 @pytest.fixture(scope="module")
 def fit_digests_by_blas_threads():
-    """Each shape's fit digest from one fresh process per OpenBLAS thread count."""
+    """Each shape's fit and Gram row digests from one fresh process per OpenBLAS thread count."""
     # the fresh interpreters import the same package as this one
     src = os.path.dirname(os.path.dirname(os.path.abspath(wavedet.__file__)))
     out = {}
@@ -469,15 +482,40 @@ def fit_digests_by_blas_threads():
     return out
 
 
+def _by_threads(fit_digests_by_blas_threads, n, d):
+    # OpenBLAS caps its pool at the usable CPUs, so a host with fewer than
+    # four checks fewer distinct thread counts
+    return {threads: by_shape[f"{n}-{d}"] for threads, by_shape in
+            fit_digests_by_blas_threads.items()}
+
+
 @pytest.mark.parametrize("n, d", _BLAS_SHAPES)
 def test_a_fit_and_its_rows_do_not_depend_on_the_blas_thread_count(
     fit_digests_by_blas_threads, n, d
 ):
-    # OpenBLAS caps its pool at the usable CPUs, so a host with fewer than
-    # four checks fewer distinct thread counts
-    digests = {threads: by_shape[f"{n}-{d}"] for threads, by_shape in
-               fit_digests_by_blas_threads.items()}
-    assert len(set(digests.values())) == 1, digests
+    runs = _by_threads(fit_digests_by_blas_threads, n, d)
+    assert len({(r["fit"], r["gram"]) for r in runs.values()}) == 1, runs
+
+
+@pytest.mark.parametrize("n, d", _GRAM_SHAPES)
+def test_gram_is_x_xt_byte_for_byte_on_any_worker_count(fit_digests_by_blas_threads, n, d):
+    # each Gram row a fit builds is the fixed-order product X X[k], to the
+    # byte, whatever the number of OpenBLAS workers in the process
+    runs = _by_threads(fit_digests_by_blas_threads, n, d)
+    for threads, run in runs.items():
+        assert run["built"] > 0 and run["exact"], f"{threads} threads"
+        assert run["gap"] <= 1.0, f"{threads} threads"
+    assert len({run["gram"] for run in runs.values()}) == 1, runs
+
+
+def test_gram_of_an_odd_set_does_not_depend_on_the_worker_count(fit_digests_by_blas_threads):
+    # at odd n OpenBLAS's threaded X @ X.T may move an entry by an ulp, but
+    # the Gram rows a fit builds keep their bytes at every worker count
+    runs = _by_threads(fit_digests_by_blas_threads, 4001, 194)
+    for threads, run in runs.items():
+        assert run["built"] > 0 and run["exact"], f"{threads} threads"
+        assert run["gap"] <= 1.0, f"{threads} threads"
+    assert len({run["gram"] for run in runs.values()}) == 1, runs
 
 
 # the winner is the middle point: c_g is about 1.63, 2.00 and 1.69 on this set
