@@ -389,8 +389,9 @@ def realized_pfa_mc(
 ) -> list[tuple[float, float]]:
     """Empirical Pfa of several same-layout detectors on one noise stream.
 
-    Sharing the stream keeps the estimates paired, which tightens
-    comparisons between detectors, such as the tuner's C grid points.
+    Sharing the stream keeps the estimates paired.  Nothing in the package
+    calls it; it stays for bench/tracer.py until ROADMAP item 9
+    deletes it.
     """
     _check_trials(trials)
     for det in dets:

@@ -5,11 +5,13 @@ detector and its closed-form curve, trains and calibrates an SVM detector
 and sweeps its Monte Carlo curve, and calibrates and sweeps the
 max-absolute-coefficient baseline.  Everything is keyed off one root seed
 through purpose-tagged substreams, so a rerun of the same config file
-produces byte-identical CSVs.  A self-check section, which draws no noise
-of its own, re-derives the cross-module consistency facts (decision/statistic
-equivalence, deployed SVM threshold vs its closed form, multi-scale dominance,
-theory ceiling) and the output directory is marked valid only if every check
-passes.
+produces byte-identical CSVs.  A self-check section re-derives the
+cross-module consistency facts (decision/statistic equivalence, deployed SVM
+threshold vs its closed form, multi-scale dominance, theory ceiling) and the
+output directory is marked valid only if every check passes.  Its only noise
+is three single observations per scale set, drawn through make_observation
+on their own purpose path, on which the decision/statistic equivalence is
+checked.
 """
 
 from __future__ import annotations

@@ -260,6 +260,9 @@ def read_detector(
     if fields["kind"] == "linear":
         det = LinearDetector(a=a, **common)
     elif fields["kind"] == "max-coeff":
+        if len(a):
+            raise ValueError(f"{path}: a max-coefficient detector stores no weights, but "
+                             f"the file holds {len(a)}; only a linear detector has weights")
         det = MaxCoeffDetector(**common)
     else:
         raise ValueError(f"{path}: unknown detector kind {fields['kind']!r}")

@@ -21,22 +21,16 @@ values are dropped.  The value of trial t then depends only on (seed,
 path, t), CHUNK and BLOCK_SAMPLES, never on how many trials a caller asked
 for.
 
-The stream starts its own workers, at most one per usable CPU, and joins
-them before it returns or raises.  They share one queue of every block of
-the call, in draw order.  A worker takes the next block and draws its
-integers from the chunk's substream under one lock: ``Generator.integers``
-releases the GIL, but a generator's lock serialises its draws, and each
-block must continue the substream where the previous block left it.
-Outside the lock it does the rest of the block (inverse CDF, pyramid,
-statistic) and writes the block's values into their rows of the result.
-The calling thread draws and applies nothing; it waits for the workers.
-
-A worker may draw a block of the next chunk while the current chunk's last
-blocks are transformed, but runs its pyramid only once every block of the
-chunk before has its values.  So the first error, in a block's pyramid or
-in its statistic, stops the stream before any block of a later chunk is
-transformed; every block in flight settles, and the stream re-raises that
-error.
+The stream runs one chunk at a time on its own workers, at most one per
+usable CPU, and joins them before it returns or raises.  A worker takes the
+chunk's next block and draws its integers from the chunk's substream under
+one lock: ``Generator.integers`` releases the GIL, but a generator's lock
+serialises its draws, and each block must continue the substream where the
+previous block left it.  Outside the lock it does the rest of the block
+(inverse CDF, pyramid, statistic) and writes the block's values into their
+rows of the result.  Every block of a chunk settles before the next chunk
+is drawn, so the first error, in a block's pyramid or in its statistic,
+leaves the stream before any block of a later chunk is transformed.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,71 +127,44 @@ class FeaturePipe:
         # the statistic of an empty block fixes the shape and type of the values
         v = stat(np.empty((0, width), order="F"))
         out = np.empty((int(trials), *v.shape[1:]), dtype=v.dtype, order="F")
-        chunks = chunk_bounds(int(trials))
-        if not chunks:
-            return out
         # rows of a full block, which never spans two chunks
         rows = min(CHUNK, max(1, BLOCK_SAMPLES // self.length))
-        pending = [-(-(stop - start) // rows) for _, start, stop in chunks]
-        # every block of the call, (chunk, first trial, offset, rows), in draw order
-        blocks = ((c, start, i, min(rows, stop - start - i))
-                  for c, start, stop in chunks for i in range(0, stop - start, rows))
         draws = threading.Lock()  # one substream is continued block by block
-        state = threading.Condition()  # guards pending and stopped
-        stopped = False
-        rng = None
 
-        def work() -> None:
-            nonlocal rng, stopped
-            try:
-                while not stopped:
-                    with draws:
-                        c, start, i, m = next(blocks, (None,) * 4)
-                        if c is None:
-                            return
-                        if i == 0:
-                            rng = substream(seed, (*path, c))
-                        U = normal_ints(rng, (m, self.length))
-                    X = normal_from_ints(U, model.sigma_n)
-                    # the pyramid waits until every block of the chunk before
-                    # has its values, so that a failed block stops all later chunks
-                    with state:
-                        while not stopped and c and pending[c - 1]:
-                            state.wait()
-                        if stopped:
-                            return
-                    F = self.steady_batch(X)
-                    if m < rows:
-                        # zero rows pad a short block to the full block shape,
-                        # column-major like a full block's features, so that a
-                        # statistic such as F @ a runs the same BLAS kernel,
-                        # and rounds the same, on every block
-                        padded = np.zeros((rows, width), order="F")
-                        padded[:m] = F
-                        F = padded
-                    out[start + i:start + i + m] = stat(F)[:m]
-                    with state:
-                        pending[c] -= 1
-                        if not pending[c]:
-                            state.notify_all()
-            except BaseException:
-                with state:
-                    stopped = True
-                    state.notify_all()
-                raise
+        def work(rng: np.random.Generator, starts: Iterator[int], stop: int) -> None:
+            while True:
+                with draws:
+                    i = next(starts, None)
+                    if i is None:
+                        return
+                    m = min(rows, stop - i)
+                    U = normal_ints(rng, (m, self.length))
+                # X stays bound until the next block: freeing it at once cost a
+                # worker 12-25% more CPU, most likely in the allocator
+                X = normal_from_ints(U, model.sigma_n)
+                F = self.steady_batch(X)
+                if m < rows:
+                    # zero rows pad a short block to the full block shape,
+                    # column-major like a full block's features, so that a
+                    # statistic such as F @ a runs the same BLAS kernel,
+                    # and rounds the same, on every block
+                    padded = np.zeros((rows, width), order="F")
+                    padded[:m] = F
+                    F = padded
+                out[i:i + m] = stat(F)[:m]
 
-        workers = min(_worker_count(), sum(pending))
+        workers = _worker_count()
         with ThreadPoolExecutor(workers, thread_name_prefix="wavedet-block") as pool:
-            # each worker runs in its own copy of the caller's context, so
-            # that count_ops and other context state reach it
-            futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(workers)]
-            try:
+            for c, start, stop in chunk_bounds(int(trials)):
+                rng = substream(seed, (*path, c))
+                starts = iter(range(start, stop, rows))
+                # each worker runs in its own copy of the caller's context, so
+                # that count_ops and other context state reach it
+                futures = [pool.submit(contextvars.copy_context().run, work, rng, starts, stop)
+                           for _ in range(min(workers, -(-(stop - start) // rows)))]
+                # every block of the chunk settles before the next chunk is
+                # drawn: a worker's error leaves the loop here, and leaving
+                # the with block joins the chunk's other workers
                 for f in futures:
                     f.result()
-            finally:
-                # leaving the with block joins every worker, so an error
-                # leaves the stream only once every block has settled
-                with state:
-                    stopped = True
-                    state.notify_all()
         return out

@@ -207,6 +207,11 @@ def test_detector_round_trip_max_coeff(tmp_path, pipe34, noise):
     # a file's own rng reads back as it is
     p.write_bytes(p.read_bytes().replace(f"rng={RNG_ID}".encode(), b"rng=other/v0", 1))
     assert io.read_detector(p)[0].calibration.rng_id == "other/v0"
+    # the writer stores no weights for this kind, so a float after its
+    # header is not the writer's
+    p.write_bytes(p.read_bytes() + np.array([1.0, 2.0, 3.0], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="stores no weights, but the file holds 3;"):
+        io.read_detector(p)
 
 
 def test_detector_extras_cannot_shadow_core_keys(tmp_path, pipe34, pulse256, noise):

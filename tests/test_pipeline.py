@@ -108,7 +108,7 @@ def test_statistic_sees_whole_chunks(pipe34):
         np.concatenate([F @ a for F in ref]))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 3, 9])
 def test_streams_do_not_depend_on_the_worker_count(pipe34, monkeypatch, workers):
     model = NoiseModel(sigma_n=1.3)
     trials = CHUNK + 700
