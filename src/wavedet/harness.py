@@ -12,13 +12,24 @@ output directory is marked valid only if every check passes.  Its only noise
 is three single observations per scale set, drawn through make_observation
 on their own purpose path, on which the decision/statistic equivalence is
 checked.
+
+The SMO fits run on the calling thread, in set order.  Most of a set's
+draws depend on no fit (its training set, and its baseline's threshold
+and curve), so one helper thread draws them for set k + 1 while set k is
+tuned, and no further ahead, so that at most two training sets are alive.
+The helper's streams and the fit share the pipeline's CPU slots, every
+stream keeps its seed and path, and the checks and writes keep their
+order, so the output bytes do not depend on the overlap.  The helper is
+joined before the run returns or raises.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -51,8 +62,8 @@ from .optimum import optimum_a
 from .pipeline import FeaturePipe
 from .rng import RNG_ID, derive_seed
 from .signals import NoiseModel, SampledSignal, _check_band, make_chirp, make_observation
-from .svm import (SvmModel, _FIT_FIELDS, _check_smo_args, build_training_set, decision,
-                  tune_c_for_pfa)
+from .svm import (SvmModel, TrainingSet, _FIT_FIELDS, _check_smo_args, build_training_set,
+                  decision, tune_c_for_pfa)
 from .wavelet import _check_scales, _detector_id, _require_pow2, _set_label, parse_family
 
 __all__ = [
@@ -285,37 +296,49 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     svm_dets: dict[str, LinearDetector] = {}
     checks: list[CheckResult] = []
 
-    for bi, (label, b, pipe, det_opt, theory) in enumerate(sets):
-        plans = _curve_plans(cfg, bi)
-        curves["theory"][label] = theory
-
+    def draw_ahead(bi: int) -> tuple[TrainingSet, DetectionCurve]:
+        """The draws of scale set ``bi`` that no fit needs: its training set
+        and its baseline's threshold and curve."""
+        _, b, pipe, _, _ = sets[bi]
         ts = build_training_set(
             pulse, b, pipe.filters, noise, cfg.n_pos, cfg.n_neg,
             (cfg.snr_min, cfg.snr_max), derive_seed(cfg.seed, _P_TRAIN, bi),
         )
-        model, det_svm = tune_c_for_pfa(
-            ts, noise, pipe, cfg.pfa, cfg.c_grid, cfg.cal_trials,
-            derive_seed(cfg.seed, _P_TUNE, bi), pulse,
-            kkt_tolerance=cfg.kkt_tolerance, max_passes=cfg.max_passes,
-        )
-        svm_dets[label] = det_svm
-        curves["svm"][label] = sweep_curve(det_svm, pulse, grid, noise, *plans["svm"], pipe)
-
         det_base = calibrate_max_coeff(pipe, noise, cfg.pfa, cfg.cal_trials,
                                        derive_seed(cfg.seed, _P_BASECAL, bi))
-        curves["baseline"][label] = sweep_curve(det_base, pulse, grid, noise,
-                                                *plans["baseline"], pipe)
+        return ts, sweep_curve(det_base, pulse, grid, noise,
+                               *_curve_plans(cfg, bi)["baseline"], pipe)
 
-        checks += [_check_decision_equivalence(model, det_svm, pulse, pipe, noise, cfg, bi, label),
-                   _check_threshold_agreement(det_svm, noise, label)]
+    # the fits run on this thread, in set order, while one helper thread
+    # draws the next set ahead; so at most two training sets are alive, and
+    # leaving the with block joins the helper whether the run returns or raises
+    with ThreadPoolExecutor(1, thread_name_prefix="wavedet-ahead") as ahead:
+        drawn = ahead.submit(contextvars.copy_context().run, draw_ahead, 0)
+        for bi, (label, b, pipe, det_opt, theory) in enumerate(sets):
+            ts, curves["baseline"][label] = drawn.result()
+            if bi + 1 < len(sets):
+                drawn = ahead.submit(contextvars.copy_context().run, draw_ahead, bi + 1)
+            curves["theory"][label] = theory
+            model, det_svm = tune_c_for_pfa(
+                ts, noise, pipe, cfg.pfa, cfg.c_grid, cfg.cal_trials,
+                derive_seed(cfg.seed, _P_TUNE, bi), pulse,
+                kkt_tolerance=cfg.kkt_tolerance, max_passes=cfg.max_passes,
+            )
+            svm_dets[label] = det_svm
+            curves["svm"][label] = sweep_curve(det_svm, pulse, grid, noise,
+                                               *_curve_plans(cfg, bi)["svm"], pipe)
 
-        for kind, by_label in curves.items():
-            write_curve_csv(os.path.join(out_dir, f"{kind}_{label}.csv"), by_label[label],
-                            _provenance(cfg, chash, b, kind))
-        write_detector(os.path.join(out_dir, f"optimum_{label}.det"), det_opt,
-                       cfg.family, cfg.length)
-        write_detector(os.path.join(out_dir, f"svm_{label}.det"), det_svm, cfg.family,
-                       cfg.length, extras=model.fit_fields())
+            checks += [_check_decision_equivalence(model, det_svm, pulse, pipe, noise, cfg, bi,
+                                                   label),
+                       _check_threshold_agreement(det_svm, noise, label)]
+
+            for kind, by_label in curves.items():
+                write_curve_csv(os.path.join(out_dir, f"{kind}_{label}.csv"), by_label[label],
+                                _provenance(cfg, chash, b, kind))
+            write_detector(os.path.join(out_dir, f"optimum_{label}.det"), det_opt,
+                           cfg.family, cfg.length)
+            write_detector(os.path.join(out_dir, f"svm_{label}.det"), det_svm, cfg.family,
+                           cfg.length, extras=model.fit_fields())
 
     checks.extend(_structural_checks(labels, cfg.scale_sets, curves["theory"], curves["svm"]))
     report = ExperimentReport(config=cfg, config_hash=chash, labels=labels, **curves,

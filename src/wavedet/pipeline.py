@@ -31,6 +31,16 @@ previous block left it.  Outside the lock it does the rest of the block
 rows of the result.  Every block of a chunk settles before the next chunk
 is drawn, so the first error, in a block's pyramid or in its statistic,
 leaves the stream before any block of a later chunk is transformed.
+
+Streams on several threads, and SMO fits beside them, share one budget of
+CPU slots, one per usable CPU (``_slots``).  A worker takes a slot for
+each block, before the draw lock, and ``svm.train`` holds one for its
+whole fit, so no more threads compute than there are CPUs: without the
+budget a fit beside a two-worker stream is one of three runnable threads
+on two CPUs, and is descheduled.  A forked child remakes the slots, since
+the parent's threads that held some do not exist there.  A statistic runs
+while its block holds a slot, so it must not start a stream: with one
+slot, that stream's workers would wait for it forever.
 """
 
 from __future__ import annotations
@@ -57,6 +67,20 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _make_slots() -> None:
+    """The process's CPU slots, one per usable CPU: a block computes, and an
+    SMO fit runs, only while it holds one."""
+    global _slots
+    _slots = threading.Semaphore(_worker_count())
+
+
+_make_slots()
+# a forked child runs only the thread that forked, so slots that its parent's
+# other threads held at fork time would never be given back in the child
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_make_slots)
 
 
 @dataclass(frozen=True)
@@ -118,7 +142,8 @@ class FeaturePipe:
         """Noise-only trials: ``stat`` of each trial's steady features (default: the features).
 
         ``stat`` must be a pure row-wise function that may run on several
-        threads at once.  It sees one block at a time, padded with zero rows
+        threads at once, and must start no stream of its own (see the module
+        docstring).  It sees one block at a time, padded with zero rows
         to the full block shape, so its values depend on BLOCK_SAMPLES as
         the features depend on CHUNK, but not on ``trials``.
         """
@@ -133,25 +158,28 @@ class FeaturePipe:
 
         def work(rng: np.random.Generator, starts: Iterator[int], stop: int) -> None:
             while True:
-                with draws:
-                    i = next(starts, None)
-                    if i is None:
-                        return
-                    m = min(rows, stop - i)
-                    U = normal_ints(rng, (m, self.length))
-                # X stays bound until the next block: freeing it at once cost a
-                # worker 12-25% more CPU, most likely in the allocator
-                X = normal_from_ints(U, model.sigma_n)
-                F = self.steady_batch(X)
-                if m < rows:
-                    # zero rows pad a short block to the full block shape,
-                    # column-major like a full block's features, so that a
-                    # statistic such as F @ a runs the same BLAS kernel,
-                    # and rounds the same, on every block
-                    padded = np.zeros((rows, width), order="F")
-                    padded[:m] = F
-                    F = padded
-                out[i:i + m] = stat(F)[:m]
+                # the slot first: a worker that holds the draw lock is never
+                # left waiting for a CPU
+                with _slots:
+                    with draws:
+                        i = next(starts, None)
+                        if i is None:
+                            return
+                        m = min(rows, stop - i)
+                        U = normal_ints(rng, (m, self.length))
+                    # X stays bound until the next block: freeing it at once
+                    # cost a worker 12-25% more CPU, most likely in the allocator
+                    X = normal_from_ints(U, model.sigma_n)
+                    F = self.steady_batch(X)
+                    if m < rows:
+                        # zero rows pad a short block to the full block shape,
+                        # column-major like a full block's features, so that a
+                        # statistic such as F @ a runs the same BLAS kernel,
+                        # and rounds the same, on every block
+                        padded = np.zeros((rows, width), order="F")
+                        padded[:m] = F
+                        F = padded
+                    out[i:i + m] = stat(F)[:m]
 
         workers = _worker_count()
         with ThreadPoolExecutor(workers, thread_name_prefix="wavedet-block") as pool:

@@ -11,8 +11,8 @@ Each step picks the pair with the largest Karush-Kuhn-Tucker violation:
 maximal F_i over I_up = {beta < ub} against minimal F_j over
 I_low = {beta > lb}, F_i = y_i - sum_k beta_k K_ik, and solves the
 two-variable subproblem beta_i += t, beta_j -= t in closed form.  The
-index sets are kept as two penalty arrays (0 inside the set, -inf or
-+inf outside) that each step updates at i and j.  No n x n Gram matrix
+index sets are kept as two label arrays (y inside the set, -inf or +inf
+outside) that each step updates at i and j.  No n x n Gram matrix
 is built: kernel row K_i = X x_i is computed the first time a step picks
 i and kept in a row store, a list of n entries that are None until built,
 which the tuner shares across its C grid points.  A fit touches few rows
@@ -43,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pipeline
 from .detector import (
     Calibration,
     LinearDetector,
@@ -188,10 +189,12 @@ def build_training_set(
     pipe = FeaturePipe.for_scales(pulse.length, filters, scales)
     mu = _template_mu(pulse, pipe)
     snrs = uniform(substream(seed, (_PATH_SNR,)), n_pos, lo, hi)
-    pos = pipe.noise_steady(model, n_pos, seed, (_PATH_POS,))
-    pos += amplitude(snrs, model)[:, None] * mu
-    neg = pipe.noise_steady(model, n_neg, seed, path=(_PATH_NEG,))
-    X = np.concatenate([pos, neg], axis=0)
+    # the two noise draws, one pattern-sized array between them, die in the
+    # concatenation, so at most two such arrays are alive at once: the
+    # draws and X, then X and the TrainingSet's copy
+    X = np.concatenate([pipe.noise_steady(model, n_pos, seed, (_PATH_POS,)),
+                        pipe.noise_steady(model, n_neg, seed, (_PATH_NEG,))], axis=0)
+    X[:n_pos] += amplitude(snrs, model)[:, None] * mu
     y = np.concatenate([np.ones(n_pos, dtype=np.int8), -np.ones(n_neg, dtype=np.int8)])
     return TrainingSet(X=X, y=y, layout=pipe.layout)
 
@@ -249,10 +252,16 @@ def train(
     threads) and sets f = _matvec(X, w); the model's w is the last
     pass's.  So no product here follows the BLAS thread count.
 
-    Apart from building a row, a step allocates no array: the pair is the
-    argmax of F + up_pen and the argmin of F + low_pen, where up_pen is 0
-    on I_up and -inf elsewhere, low_pen is 0 on I_low and +inf elsewhere,
-    and both change at i and j only.
+    Apart from building a row, a step allocates no array, and it picks
+    its pair in two passes over n: the argmax of y_up - f and the argmin of
+    y_low - f, where y_up is y on I_up and -inf elsewhere, y_low is y on
+    I_low and +inf elsewhere, and both change at i and j only.  Since
+    y + 0.0 == y and +-inf - f == (y - f) +- inf, this is the pair that
+    maximises and minimises F = y - f over the two sets.
+
+    The fit holds one of ``pipeline``'s CPU slots from start to end, so a
+    fit and the Monte Carlo block workers beside it never ask for more
+    CPUs than the process may run on.
     """
     _check_smo_args(c_plus, c_minus, kkt_tolerance, max_passes)
     X = ts.X
@@ -261,61 +270,60 @@ def train(
         rows = [None] * n
     elif len(rows) != n:
         raise ValueError(f"rows must hold {n} entries for this training set, got {len(rows)}")
-    y = ts.y.astype(np.float64)
     pos = ts.y == 1
     box_a = np.where(pos, float(c_plus), float(c_minus))
     # Python-float copies for the per-step scalar arithmetic
+    yl = ts.y.astype(np.float64).tolist()
     box = box_a.tolist()
     ub = np.where(pos, box_a, 0.0).tolist()
     lb = np.where(pos, 0.0, -box_a).tolist()
     beta = np.zeros(n)
-    up_pen = np.where(pos, 0.0, -np.inf)  # beta = 0 lies below ub only if positive
-    low_pen = np.where(pos, np.inf, 0.0)
-    F = np.empty(n)
+    # y inside I_up (I_low), -inf (+inf) outside; beta = 0 lies below ub only if positive
+    y_up = np.where(pos, 1.0, -np.inf)
+    y_low = np.where(pos, np.inf, -1.0)
     buf = np.empty(n)
     f = np.zeros(n)  # f_i = sum_k beta_k K_ik, maintained incrementally
     history: list[float] = []
     converged = False
     n_passes = 0
     m = m_low = 0.0
-    for _pass in range(int(max_passes)):
-        n_passes = _pass + 1
-        for _step in range(n):
-            np.subtract(y, f, out=F)
-            # F + 0.0 == F inside a set and -inf / +inf outside it
-            i = int(np.add(F, up_pen, out=buf).argmax())
-            j = int(np.add(F, low_pen, out=buf).argmin())
-            m, m_low = F.item(i), F.item(j)
-            if m - m_low <= kkt_tolerance:
-                converged = True
+    with pipeline._slots:  # one CPU slot for the whole fit
+        for _pass in range(int(max_passes)):
+            n_passes = _pass + 1
+            for _step in range(n):
+                i = int(np.subtract(y_up, f, out=buf).argmax())
+                j = int(np.subtract(y_low, f, out=buf).argmin())
+                m, m_low = yl[i] - f.item(i), yl[j] - f.item(j)
+                if m - m_low <= kkt_tolerance:
+                    converged = True
+                    break
+                K_i, K_j = rows[i], rows[j]
+                if K_i is None:
+                    K_i = rows[i] = _matvec(X, X[i])
+                if K_j is None:
+                    K_j = rows[j] = _matvec(X, X[j])
+                t_hi = min(ub[i] - beta.item(i), beta.item(j) - lb[j])
+                eta = K_i.item(i) + K_j.item(j) - 2.0 * K_i.item(j)
+                if eta > 0.0:
+                    t = min((m - m_low) / eta, t_hi)
+                else:
+                    t = t_hi  # identical patterns: objective is linear in t
+                for k, bk in ((i, beta.item(i) + t), (j, beta.item(j) - t)):
+                    # keep bound membership exact so the KKT index sets stay crisp
+                    if abs(bk) < _BOUND_SNAP * box[k]:
+                        bk = 0.0
+                    elif abs(bk) > box[k] * (1.0 - _BOUND_SNAP):
+                        bk = ub[k] if bk > 0.0 else lb[k]
+                    beta[k] = bk
+                    y_up[k] = yl[k] if bk < ub[k] else -np.inf
+                    y_low[k] = yl[k] if bk > lb[k] else np.inf
+                f += np.multiply(np.subtract(K_i, K_j, out=buf), t, out=buf)
+            # exact refresh closes any incremental drift
+            w = np.einsum("i,ij->j", beta, X)
+            f = _matvec(X, w)
+            history.append(float(np.sum(np.abs(beta)) - 0.5 * beta @ f))
+            if converged:
                 break
-            K_i, K_j = rows[i], rows[j]
-            if K_i is None:
-                K_i = rows[i] = _matvec(X, X[i])
-            if K_j is None:
-                K_j = rows[j] = _matvec(X, X[j])
-            t_hi = min(ub[i] - beta.item(i), beta.item(j) - lb[j])
-            eta = K_i.item(i) + K_j.item(j) - 2.0 * K_i.item(j)
-            if eta > 0.0:
-                t = min((m - m_low) / eta, t_hi)
-            else:
-                t = t_hi  # identical patterns: objective is linear in t
-            for k, bk in ((i, beta.item(i) + t), (j, beta.item(j) - t)):
-                # keep bound membership exact so the KKT index sets stay crisp
-                if abs(bk) < _BOUND_SNAP * box[k]:
-                    bk = 0.0
-                elif abs(bk) > box[k] * (1.0 - _BOUND_SNAP):
-                    bk = ub[k] if bk > 0.0 else lb[k]
-                beta[k] = bk
-                up_pen[k] = 0.0 if bk < ub[k] else -np.inf
-                low_pen[k] = 0.0 if bk > lb[k] else np.inf
-            f += np.multiply(np.subtract(K_i, K_j, out=buf), t, out=buf)
-        # exact refresh closes any incremental drift
-        w = np.einsum("i,ij->j", beta, X)
-        f = _matvec(X, w)
-        history.append(float(np.sum(np.abs(beta)) - 0.5 * beta @ f))
-        if converged:
-            break
     return SvmModel(
         alphas=np.abs(beta),
         y=ts.y,

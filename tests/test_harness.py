@@ -5,6 +5,7 @@ import filecmp
 import math
 import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wavedet import (
     harness,
     parse_config_text,
     run_experiment,
+    svm,
 )
 from wavedet.detector import Calibration, LinearDetector, qfunc_inv
 from wavedet.io import read_detector, write_detector
@@ -433,6 +435,40 @@ def test_run_draws_only_training_thresholds_and_curves(mini_cfg, tmp_path, monke
     c = mini_cfg
     per_set = c.n_pos + c.n_neg + 2 * c.cal_trials + 2 * c.trials_per_point
     assert drawn == {b: per_set for b in c.scale_sets}
+
+
+def _ahead_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("wavedet-ahead")]
+
+
+def test_no_lookahead_thread_outlives_the_run(mini_cfg, tmp_path, monkeypatch):
+    # every set's training set is drawn on the one lookahead thread, set k + 1's
+    # while set k is tuned; the thread is joined when the run returns, and when
+    # set 1's fit raises while set 2 is being drawn
+    built = []
+    build = harness.build_training_set
+
+    def recording(*args, **kwargs):
+        built.append(threading.current_thread().name)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_training_set", recording)
+    run_experiment(mini_cfg, str(tmp_path / "ok"))
+    assert len(built) == len(mini_cfg.scale_sets)
+    assert all(name.startswith("wavedet-ahead") for name in built), built
+    assert not _ahead_threads()
+
+    train = svm.train
+
+    def failing(ts, *args, **kwargs):
+        if ts.layout.scales == mini_cfg.scale_sets[1]:
+            raise RuntimeError("fit failed")
+        return train(ts, *args, **kwargs)
+
+    monkeypatch.setattr(svm, "train", failing)
+    with pytest.raises(RuntimeError, match="fit failed"):
+        run_experiment(mini_cfg, str(tmp_path / "failed"))
+    assert not _ahead_threads()
 
 
 def test_threshold_check_allows_four_quantile_stderrs():

@@ -3,13 +3,14 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavedet import (FeaturePipe, NoiseModel, ScaleLayout, estimate_pd, make_chirp, optimum_a,
-                     parse_family, pipeline)
+                     parse_family, pipeline, svm)
 from wavedet.pipeline import BLOCK_SAMPLES
 from wavedet.rng import CHUNK, chunk_bounds, normal, substream
 
@@ -173,6 +174,93 @@ def test_a_forked_child_starts_its_own_workers(pipe34, noise):
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_streams_while_a_parent_thread_holds_every_slot(pipe34, noise):
+    # a thread of the parent holds every CPU slot when the process forks;
+    # that thread does not exist in the child, which must get slots of its own
+    want = pipe34.noise_steady(noise, 2000, seed=3)
+    slots, count = pipeline._slots, pipeline._worker_count()
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        for _ in range(count):
+            slots.acquire()
+        held.set()
+        release.wait(120)
+        for _ in range(count):
+            slots.release()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(60)
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn that a fork with live threads may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = np.array_equal(pipe34.noise_steady(noise, 2000, seed=3), want)
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+    finally:
+        release.set()
+        holder.join(60)
+    assert not holder.is_alive()
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_fits_and_blocks_never_outnumber_the_cpu_slots(db5, noise, monkeypatch):
+    # an SMO fit runs on another thread while a stream's chunk of 32 blocks
+    # (length 1024) is transformed; each block and each kernel row of the
+    # fit sleeps while it holds its slot, so that any excess would show.
+    # Without the slots, the fit and every block worker compute at once
+    pipe = FeaturePipe.for_scales(1024, db5, (3, 4))
+    lock = threading.Lock()
+    state = {"now": 0, "most": 0}
+    fitting = threading.Event()
+
+    def busy(fn):
+        def run(*args):
+            with lock:
+                state["now"] += 1
+                state["most"] = max(state["most"], state["now"])
+            try:
+                time.sleep(0.01)
+                return fn(*args)
+            finally:
+                with lock:
+                    state["now"] -= 1
+        return run
+
+    def row(X, v):
+        fitting.set()
+        return matvec(X, v)
+
+    matvec = busy(svm._matvec)
+    monkeypatch.setattr(FeaturePipe, "steady_batch", busy(FeaturePipe.steady_batch))
+    monkeypatch.setattr(svm, "_matvec", row)
+    X = np.random.default_rng(6).standard_normal((60, pipe.layout.steady_length))
+    ts = svm.TrainingSet(X=X + np.repeat([[0.3], [-0.3]], 30, axis=0), y=np.repeat([1, -1], 30),
+                         layout=pipe.layout)
+    fit = threading.Thread(target=svm.train, args=(ts, 1.0, 1.0))
+    fit.start()
+    try:
+        assert fitting.wait(60)
+        pipe.noise_steady(noise, CHUNK, seed=4)
+    finally:
+        fit.join(120)
+    assert not fit.is_alive()
+    assert 1 <= state["most"] <= pipeline._worker_count()
+
+
 def test_a_failing_block_stops_the_stream(pipe34, noise, monkeypatch):
     # at length 256 a chunk is 8 blocks; the third raises while its
     # neighbours are still being transformed
@@ -208,9 +296,10 @@ def test_a_failing_block_stops_the_stream(pipe34, noise, monkeypatch):
 def test_no_later_chunk_is_transformed_after_a_failing_block(pipe34, noise, monkeypatch,
                                                              workers):
     # at length 256 a chunk is 8 blocks; the third fails only after the
-    # others are done, so the workers have drawn blocks of the second chunk
-    # (nine workers even before any block fails).  None of those may be
-    # transformed while a block of the first chunk can still fail
+    # others are done.  The stream joins each chunk's workers before it
+    # draws the next chunk, so no block of the second chunk is drawn or
+    # transformed, with two workers or with nine asked for, of which the
+    # stream starts eight, one per block of the chunk
     monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
     counter = itertools.count(1)
     steady_batch = FeaturePipe.steady_batch
